@@ -14,11 +14,15 @@
 // the independent simulation runs over that many workers (default: one
 // per CPU) without changing any artifact byte.
 //
-// -v narrates progress on stderr; -metrics-out and -trace-out export the
-// run's telemetry (JSON metrics snapshot and Chrome trace_event file).
+// -v narrates progress on stderr; -metrics-out exports the run's JSON
+// metrics snapshot. -trace-out records the run as one request trace
+// (DESIGN.md §11), each artifact a child of the root named by its id, and
+// writes it as Chrome trace_event JSON; the evaluation and training
+// artifacts show every scheduler job and simulated run beneath them.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -31,6 +35,7 @@ import (
 	"powerbench/internal/report"
 	"powerbench/internal/sched"
 	"powerbench/internal/server"
+	"powerbench/internal/tracectx"
 )
 
 type artifact struct {
@@ -60,6 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Float64("seed", 1, "simulation seed")
 	jobs := fs.Int("jobs", 0, "concurrent simulation runs (0 = one per CPU, 1 = sequential); artifacts are identical at every setting")
 	chart := fs.Bool("chart", false, "render single-series figures as ASCII bar charts")
+	traceOut := fs.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON (chrome://tracing, Perfetto)")
 	var cli obs.CLI
 	cli.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -68,6 +74,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o := cli.NewObs(stdout, stderr)
 	log := o.Log
 	pool := sched.New(*jobs, o)
+	opts := core.EvalOptions{Obs: o, Pool: pool}
+	var tr *tracectx.Trace
+	if *traceOut != "" {
+		tr = tracectx.New(tracectx.DeriveID(fmt.Sprintf("figures|only=%s|seed=%g", *only, *seed)), "figures", "cli")
+		tr.Root().Attr("seed", *seed)
+	}
+	// ctx carries the running artifact's span; the loop below sets it.
+	ctx := context.Background()
 
 	// The regression artifacts share one trained model and its
 	// verifications; train lazily.
@@ -78,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return trained, nil
 		}
 		var err error
-		trained, err = core.TrainPowerModelWithPool(server.Xeon4870(), seed, o, pool)
+		trained, err = core.TrainPowerModelCtx(ctx, server.Xeon4870(), seed, opts)
 		return trained, err
 	}
 	verify := func(seed float64, class npb.Class) (*core.VerificationResult, error) {
@@ -100,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return nil, "", err
 		}
-		ev, err := core.EvaluateWithPool(spec, seed, o, pool)
+		ev, err := core.EvaluateCtx(ctx, spec, seed, opts)
 		if err != nil {
 			return nil, "", err
 		}
@@ -153,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"table5", func(s float64) (fmt.Stringer, string, error) { return evalTable("Opteron-8347", "Table V", s) }},
 		{"table6", func(s float64) (fmt.Stringer, string, error) { return evalTable("Xeon-4870", "Table VI", s) }},
 		{"orderings", func(s float64) (fmt.Stringer, string, error) {
-			c, err := core.CompareWithPool(server.All(), s, o, pool)
+			c, err := core.CompareCtx(ctx, server.All(), s, opts)
 			if err != nil {
 				return nil, "", err
 			}
@@ -228,7 +242,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		ran = true
 		o.Infof("generating %s", a.id)
+		sp := tr.Root().Child(a.id)
+		ctx = tracectx.ContextWith(context.Background(), sp)
 		art, tsv, err := a.run(*seed)
+		sp.End()
 		if err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", a.id, err)
 			return 1
@@ -253,6 +270,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !ran {
 		fmt.Fprintf(stderr, "unknown artifact %q\n", *only)
 		return 1
+	}
+	if tr != nil {
+		if err := tracectx.WriteChromeFile(*traceOut, tr); err != nil {
+			fmt.Fprintln(stderr, "trace-out:", err)
+			return 1
+		}
 	}
 	return cli.Flush(o, stderr)
 }

@@ -21,8 +21,13 @@
 // and a chaos run is itself bit-reproducible at any -jobs count.
 // -v enables progress diagnostics on stderr (-v -v for debug detail) and
 // -q silences the report itself. -metrics-out writes a JSON snapshot of
-// every pipeline metric; -trace-out writes a Chrome trace_event file that
-// opens in chrome://tracing or https://ui.perfetto.dev.
+// every pipeline metric. -trace-out records the run as one request trace
+// (DESIGN.md §11) — each table and the comparison as a child of the root,
+// down to every state, scheduler job and simulated run — and writes it as
+// Chrome trace_event JSON that opens in chrome://tracing or
+// https://ui.perfetto.dev. The trace id derives from the flags that decide
+// the work (server, seed, comparison, fault profile), so the exported
+// metadata.tree_hash is the same at every -jobs count.
 //
 // -flight-out records every run into a flight-recorder file (JSONL, one
 // record per evaluation with phase boundaries and per-phase idle/CPU/memory
@@ -47,6 +52,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -60,6 +66,7 @@ import (
 	"powerbench/internal/obs"
 	"powerbench/internal/sched"
 	"powerbench/internal/server"
+	"powerbench/internal/tracectx"
 )
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -73,6 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flightOut := fs.String("flight-out", "", "write flight records (JSONL) to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	traceOut := fs.String("trace-out", "", "write the run's span tree as Chrome trace_event JSON (chrome://tracing, Perfetto)")
 	var cli obs.CLI
 	cli.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -122,6 +130,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		recorder = flight.NewRecorder(0)
 	}
 	opts := core.EvalOptions{Obs: o, Pool: pool, Fault: profile, Ledger: ledger, Flight: recorder}
+	ctx := context.Background()
+	var tr *tracectx.Trace
+	if *traceOut != "" {
+		faults := "none"
+		if profile.Active() {
+			faults = profile.Name
+		}
+		tr = tracectx.New(tracectx.DeriveID(fmt.Sprintf("powerbench|server=%s|seed=%g|compare=%t|fault-profile=%s",
+			*serverName, *seed, *compare, faults)), "powerbench", "cli")
+		tr.Root().Attr("seed", *seed).Attr("compare", *compare).Attr("fault_profile", faults)
+		ctx = tracectx.ContextWith(ctx, tr.Root())
+	}
 
 	var specs []*server.Spec
 	if *serverName == "" {
@@ -139,14 +159,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"Xeon-E5462": "Table IV", "Opteron-8347": "Table V", "Xeon-4870": "Table VI",
 	}
 	for i, spec := range specs {
-		ev, err := core.EvaluateOpts(spec, *seed+float64(i), opts)
-		if err != nil {
-			fmt.Fprintln(stderr, "evaluate:", err)
-			return 1
-		}
 		name := tableNames[spec.Name]
 		if name == "" {
 			name = "Evaluation"
+		}
+		sp := tracectx.FromContext(ctx).Child(name)
+		ev, err := core.EvaluateCtx(tracectx.ContextWith(ctx, sp), spec, *seed+float64(i), opts)
+		sp.End()
+		if err != nil {
+			fmt.Fprintln(stderr, "evaluate:", err)
+			return 1
 		}
 		log.Reportf("%s\n", core.EvaluationTable(ev, name))
 		if paper, ok := core.PaperScores[spec.Name]; ok {
@@ -156,7 +178,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *compare {
-		c, err := core.CompareOpts(specs, *seed+100, opts)
+		sp := tracectx.FromContext(ctx).Child("Method comparison")
+		c, err := core.CompareCtx(tracectx.ContextWith(ctx, sp), specs, *seed+100, opts)
+		sp.End()
 		if err != nil {
 			fmt.Fprintln(stderr, "compare:", err)
 			return 1
@@ -181,6 +205,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		o.Infof("wrote %d flight records to %s", recorder.Len(), *flightOut)
+	}
+	if tr != nil {
+		if err := tracectx.WriteChromeFile(*traceOut, tr); err != nil {
+			fmt.Fprintln(stderr, "trace-out:", err)
+			return 1
+		}
 	}
 
 	return cli.Flush(o, stderr)

@@ -50,82 +50,83 @@ func TestRunQuietAndVerbose(t *testing.T) {
 	}
 }
 
-// chromeEvent mirrors the trace_event fields the validation needs.
-type chromeEvent struct {
-	Name  string  `json:"name"`
-	Phase string  `json:"ph"`
-	TS    float64 `json:"ts"`
-	Tid   int64   `json:"tid"`
+// chromeTrace mirrors the trace_event fields the validation needs.
+type chromeTrace struct {
+	TraceEvents []struct {
+		Name  string         `json:"name"`
+		Phase string         `json:"ph"`
+		TS    int64          `json:"ts"`
+		Dur   int64          `json:"dur"`
+		Args  map[string]any `json:"args"`
+	} `json:"traceEvents"`
+	Metadata struct {
+		TreeHash string `json:"tree_hash"`
+	} `json:"metadata"`
 }
 
-// TestRunTraceOut is the acceptance check for the trace exporter: the
-// emitted Chrome trace has at least one span per evaluation state and per
-// program run, strictly matched B/E pairs, and non-decreasing timestamps.
-func TestRunTraceOut(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
+// readTrace runs powerbench with -trace-out and parses the Chrome export.
+func readTrace(t *testing.T, args ...string) chromeTrace {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.json")
 	var stdout, stderr bytes.Buffer
-	rc := run([]string{"-server", "Xeon-E5462", "-q", "-trace-out", tracePath}, &stdout, &stderr)
-	if rc != 0 {
+	if rc := run(append(args, "-q", "-trace-out", path), &stdout, &stderr); rc != 0 {
 		t.Fatalf("rc=%d: %s", rc, stderr.String())
 	}
-	data, err := os.ReadFile(tracePath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &trace); err != nil {
+	var tr chromeTrace
+	if err := json.Unmarshal(data, &tr); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	events := trace.TraceEvents
-	if len(events) == 0 {
-		t.Fatal("empty trace")
+	if len(tr.TraceEvents) == 0 || tr.Metadata.TreeHash == "" {
+		t.Fatalf("trace has %d events, tree hash %q", len(tr.TraceEvents), tr.Metadata.TreeHash)
 	}
+	return tr
+}
 
+// TestRunTraceOut is the acceptance check for the trace exporter: the
+// Chrome export of the run's request trace holds complete ("X") events
+// only, one state span per table row and one run span per program, each
+// carrying its identity-derived span id.
+func TestRunTraceOut(t *testing.T) {
+	tr := readTrace(t, "-server", "Xeon-E5462")
 	states, runs := 0, 0
-	stacks := map[int64][]string{}
-	lastTS := events[0].TS
-	for i, e := range events {
-		if e.TS < lastTS {
-			t.Fatalf("event %d: ts %v decreases below %v", i, e.TS, lastTS)
+	for i, e := range tr.TraceEvents {
+		if e.Phase != "X" || e.Dur < 0 || e.TS < 0 {
+			t.Fatalf("event %d %q: phase %q ts %d dur %d, want a complete event", i, e.Name, e.Phase, e.TS, e.Dur)
 		}
-		lastTS = e.TS
-		switch e.Phase {
-		case "B":
-			stacks[e.Tid] = append(stacks[e.Tid], e.Name)
-			if strings.HasPrefix(e.Name, "state ") {
-				states++
-			}
-			if strings.HasPrefix(e.Name, "run ") {
-				runs++
-			}
-		case "E":
-			st := stacks[e.Tid]
-			if len(st) == 0 {
-				t.Fatalf("event %d: E %q with no open span on tid %d", i, e.Name, e.Tid)
-			}
-			if top := st[len(st)-1]; top != e.Name {
-				t.Fatalf("event %d: E %q does not match open span %q", i, e.Name, top)
-			}
-			stacks[e.Tid] = st[:len(st)-1]
-		default:
-			t.Fatalf("event %d: unexpected phase %q", i, e.Phase)
+		if id, _ := e.Args["span"].(string); len(id) != 16 {
+			t.Fatalf("event %d %q: span id %q", i, e.Name, id)
+		}
+		if strings.HasPrefix(e.Name, "state ") {
+			states++
+		}
+		if strings.HasPrefix(e.Name, "run ") {
+			runs++
 		}
 	}
-	for tid, st := range stacks {
-		if len(st) != 0 {
-			t.Errorf("tid %d: unclosed spans %v", tid, st)
-		}
+	// The Xeon-E5462 plan is idle + 9 reference states, one table row and
+	// one simulated program each.
+	if states != 10 {
+		t.Errorf("state spans = %d, want one per table row (10)", states)
 	}
-	// The Xeon-E5462 plan is idle + 9 reference states: well past the
-	// "at least one span per state (5 states minimum)" acceptance bar.
-	if states < 5 {
-		t.Errorf("want >=5 state spans, got %d", states)
+	if runs != states {
+		t.Errorf("run spans = %d, want one per program (%d)", runs, states)
 	}
-	if runs < states {
-		t.Errorf("every state executes as a program run: want >=%d run spans, got %d", states, runs)
+}
+
+// TestRunTraceOutJobsInvariant: the exported tree hash is a content
+// address of the work, identical at one and eight workers.
+func TestRunTraceOutJobsInvariant(t *testing.T) {
+	seq := readTrace(t, "-compare", "-jobs", "1")
+	par := readTrace(t, "-compare", "-jobs", "8")
+	if seq.Metadata.TreeHash != par.Metadata.TreeHash {
+		t.Errorf("tree hash at -jobs 1 %s, at -jobs 8 %s", seq.Metadata.TreeHash, par.Metadata.TreeHash)
+	}
+	if len(seq.TraceEvents) != len(par.TraceEvents) {
+		t.Errorf("%d events at -jobs 1, %d at -jobs 8", len(seq.TraceEvents), len(par.TraceEvents))
 	}
 }
 

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"powerbench/internal/sched"
 	"powerbench/internal/server"
+	"powerbench/internal/tracectx"
 )
 
 // These are the scheduler's acceptance property tests: for every server
@@ -67,21 +70,35 @@ func TestCompareDeterministicAcrossJobs(t *testing.T) {
 }
 
 // TestTrainingDeterministicAcrossJobs: the HPCC regression sweep on the
-// 4-core server (28 training runs — the smallest full sweep).
+// 4-core server (28 training runs — the smallest full sweep). Its trace
+// tree, one job span per training run, is identical at every worker count
+// too.
 func TestTrainingDeterministicAcrossJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full HPCC training sweep per job count")
 	}
 	spec := server.XeonE5462()
-	baseline, err := TrainPowerModelWithPool(spec, 3, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	train := func(pool *sched.Pool) (*TrainingResult, *tracectx.Doc) {
+		t.Helper()
+		tr := tracectx.New(tracectx.DeriveID("train-determinism"), "train", "test")
+		got, err := TrainPowerModelCtx(tracectx.ContextWith(context.Background(), tr.Root()), spec, 3, EvalOptions{Pool: pool})
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", pool.Workers(), err)
+		}
+		return got, tr.Export()
+	}
+	baseline, baseDoc := train(nil)
+	runs := 0
+	for _, sp := range baseDoc.Spans {
+		if strings.HasPrefix(sp.Name, "run ") {
+			runs++
+		}
+	}
+	if runs == 0 {
+		t.Fatal("training trace has no run spans")
 	}
 	for _, jobs := range determinismJobCounts {
-		got, err := TrainPowerModelWithPool(spec, 3, nil, sched.New(jobs, nil))
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
+		got, doc := train(sched.New(jobs, nil))
 		if !reflect.DeepEqual(got.Coefficients, baseline.Coefficients) {
 			t.Errorf("jobs=%d: coefficients differ: %v vs %v", jobs, got.Coefficients, baseline.Coefficients)
 		}
@@ -90,6 +107,9 @@ func TestTrainingDeterministicAcrossJobs(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.FeatureNorms, baseline.FeatureNorms) || got.PowerNorm != baseline.PowerNorm {
 			t.Errorf("jobs=%d: normalizations differ", jobs)
+		}
+		if doc.TreeHash != baseDoc.TreeHash {
+			t.Errorf("jobs=%d: training trace tree differs", jobs)
 		}
 	}
 }

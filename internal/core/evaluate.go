@@ -174,10 +174,8 @@ func EvaluateWithPool(spec *server.Spec, seed float64, o *obs.Obs, p *sched.Pool
 // evaluateFaultCtx.
 func evaluateCleanCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Evaluation, error) {
 	o, p := opts.Obs, opts.Pool
-	sp := o.Span("evaluate "+spec.Name, "evaluate").Arg("seed", seed).Arg("jobs", p.Workers())
-	defer sp.End()
-	// The request-trace span carries only identity attrs (never the worker
-	// count): its subtree must be byte-identical at any -jobs value.
+	// The span carries only identity attrs (never the worker count): its
+	// subtree must be byte-identical at any -jobs value.
 	tr := tracectx.FromContext(ctx).Child("evaluate "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
@@ -196,13 +194,15 @@ func evaluateCleanCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 
 	ev := &Evaluation{Server: spec.Name}
 	var sumG, sumW, sumPPW float64
+	var key string
+	if opts.Flight != nil {
+		key = CanonicalHash(spec, seed, HashOpts{Method: "evaluate"})
+	}
 	var phases []flight.Phase
 	var runEnergy flight.Energy
-	analysis := sp.Child("analysis")
-	tanalysis := tr.Child("analysis")
+	analysis := tr.Child("analysis")
 	for _, r := range results {
 		state := analysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
-		tstate := tanalysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
 		window := meter.Window(merged, r.Start, r.End)
 		dropped := trimmedCount(len(window))
 		o.Counter("core_window_samples_total").Add(int64(len(window)))
@@ -222,17 +222,15 @@ func evaluateCleanCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 		sumPPW += row.PPW
 		if opts.Flight != nil {
 			ph := flightPhase(spec, r, window, watts, dropped)
-			emitEnergyMetrics(o, state.Ref(), spec.Name, ph.Energy)
+			emitEnergyMetrics(o, key, spec.Name, ph)
 			runEnergy.Add(ph.Energy)
 			phases = append(phases, ph)
 		}
-		state.Arg("watts", watts).Arg("samples", len(window)).Arg("trim_dropped", dropped).End()
-		tstate.Attr("watts", watts).Attr("samples", len(window)).Attr("trim_dropped", dropped).End()
+		state.Attr("watts", watts).Attr("samples", len(window)).Attr("trim_dropped", dropped).End()
 		o.Debugf("state %s: %.1f W over %d samples (%d trimmed)",
 			r.Model.Name, watts, len(window), dropped)
 	}
 	analysis.End()
-	tanalysis.End()
 	n := float64(len(ev.Rows))
 	ev.AvgGFLOPS = sumG / n
 	ev.AvgWatts = sumW / n
@@ -240,7 +238,7 @@ func evaluateCleanCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 	if opts.Flight != nil {
 		opts.Flight.Add(flight.Record{
 			Method: "evaluate", Server: spec.Name, Seed: seed,
-			Key:          CanonicalHash(spec, seed, HashOpts{Method: "evaluate"}),
+			Key:          key,
 			FaultProfile: "none",
 			Score:        ev.Score,
 			Phases:       phases,
@@ -297,8 +295,6 @@ func Green500WithPool(spec *server.Spec, seed float64, o *obs.Obs, p *sched.Pool
 // Green500WithPool and Green500Ctx.
 func green500CleanCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Green500Result, error) {
 	o, p := opts.Obs, opts.Pool
-	sp := o.Span("green500 "+spec.Name, "evaluate")
-	defer sp.End()
 	tr := tracectx.FromContext(ctx).Child("green500 "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
@@ -326,11 +322,12 @@ func green500CleanCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 	}
 	if opts.Flight != nil {
 		window := meter.Window(run.PowerLog, run.Start, run.End)
+		key := CanonicalHash(spec, seed, HashOpts{Method: "green500"})
 		ph := flightPhase(spec, run, window, watts, trimmedCount(len(window)))
-		emitEnergyMetrics(o, sp.Ref(), spec.Name, ph.Energy)
+		emitEnergyMetrics(o, key, spec.Name, ph)
 		opts.Flight.Add(flight.Record{
 			Method: "green500", Server: spec.Name, Seed: seed,
-			Key:          CanonicalHash(spec, seed, HashOpts{Method: "green500"}),
+			Key:          key,
 			FaultProfile: "none",
 			Score:        res.PPW,
 			Phases:       []flight.Phase{ph},
@@ -381,8 +378,6 @@ func CompareWithPool(specs []*server.Spec, seed float64, o *obs.Obs, p *sched.Po
 // actually performed.
 func compareCleanCtx(ctx context.Context, specs []*server.Spec, seed float64, opts EvalOptions) (*Comparison, error) {
 	o, p := opts.Obs, opts.Pool
-	cmpSpan := o.Span("compare", "evaluate").Arg("servers", len(specs)).Arg("jobs", p.Workers())
-	defer cmpSpan.End()
 	tr := tracectx.FromContext(ctx).Child("compare").Attr("servers", len(specs)).Attr("seed", seed)
 	defer tr.End()
 	ctx = tracectx.ContextWith(ctx, tr)
@@ -403,11 +398,7 @@ func compareCleanCtx(ctx context.Context, specs []*server.Spec, seed float64, op
 		if err != nil {
 			return err
 		}
-		// Root span, not a child of cmpSpan: concurrent children on one
-		// trace track would break its begin/end nesting.
-		ssjSpan := o.Span("specpower "+spec.Name, "evaluate")
 		sp, err := ssj.Run(spec)
-		ssjSpan.End()
 		if err != nil {
 			return err
 		}

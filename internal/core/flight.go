@@ -63,10 +63,12 @@ func pmuDelta(samples []pmu.Sample) flight.PMUDelta {
 	return d
 }
 
-// emitEnergyMetrics publishes a phase's attribution to the metrics registry,
-// linking each observation to its state span (the exemplar answers "which
-// run put this value in the tail bucket?").
-func emitEnergyMetrics(o *obs.Obs, spanRef string, server string, e flight.Energy) {
+// emitEnergyMetrics publishes a phase's attribution to the metrics registry.
+// Each observation's exemplar is "<record key>/<phase name>", a content
+// reference into the flight file that answers "which run put this value in
+// the tail bucket?" without depending on any trace being recorded.
+func emitEnergyMetrics(o *obs.Obs, key string, server string, ph flight.Phase) {
+	ref, e := key+"/"+ph.Name, ph.Energy
 	for _, c := range []struct {
 		component string
 		joules    float64
@@ -75,7 +77,7 @@ func emitEnergyMetrics(o *obs.Obs, spanRef string, server string, e flight.Energ
 		{"memory", e.MemoryJ}, {"other", e.OtherJ},
 	} {
 		o.Histogram("core_phase_energy_joules", energyBuckets,
-			obs.L("component", c.component)).ObserveExemplar(c.joules, spanRef)
+			obs.L("component", c.component)).ObserveExemplar(c.joules, ref)
 	}
 	o.Gauge("core_run_energy_joules", obs.L("server", server)).Add(e.TotalJ)
 }

@@ -2,35 +2,42 @@ package core
 
 import (
 	"bytes"
-	"fmt"
+	"context"
 	"strings"
 	"testing"
 
 	"powerbench/internal/obs"
 	"powerbench/internal/server"
+	"powerbench/internal/tracectx"
 )
 
-// TestEvaluateWithObsSpans: the evaluation emits one state span per table
-// row, one run span per executed program, and consistent trim accounting.
+// TestEvaluateWithObsSpans: the evaluation's trace has one state span per
+// table row and one run span per executed program, every span hangs off a
+// recorded parent, and the obs counters keep consistent trim accounting.
 func TestEvaluateWithObsSpans(t *testing.T) {
 	o := obs.New()
-	ev, err := EvaluateWithObs(server.XeonE5462(), 1, o)
+	tr := tracectx.New(tracectx.DeriveID("evaluate-spans"), "root", "test")
+	ctx := tracectx.ContextWith(context.Background(), tr.Root())
+	ev, err := EvaluateCtx(ctx, server.XeonE5462(), 1, EvalOptions{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var states, runs, opens, closes int
-	for _, e := range o.Tracer.Events() {
-		switch e.Phase {
-		case 'B':
-			opens++
-			if strings.HasPrefix(e.Name, "state ") {
-				states++
-			}
-			if strings.HasPrefix(e.Name, "run ") {
-				runs++
-			}
-		case 'E':
-			closes++
+	tr.Root().End()
+	doc := tr.Export()
+	ids := map[string]bool{}
+	for _, sp := range doc.Spans {
+		ids[sp.ID] = true
+	}
+	var states, runs int
+	for _, sp := range doc.Spans {
+		if strings.HasPrefix(sp.Name, "state ") {
+			states++
+		}
+		if strings.HasPrefix(sp.Name, "run ") {
+			runs++
+		}
+		if sp.Parent != "" && !ids[sp.Parent] {
+			t.Errorf("span %s has no recorded parent", sp.Path)
 		}
 	}
 	if states != len(ev.Rows) {
@@ -38,9 +45,6 @@ func TestEvaluateWithObsSpans(t *testing.T) {
 	}
 	if runs != len(ev.Rows) {
 		t.Errorf("run spans = %d, want one per executed program (%d)", runs, len(ev.Rows))
-	}
-	if opens != closes {
-		t.Errorf("unbalanced spans: %d B vs %d E", opens, closes)
 	}
 
 	windows := o.Counter("core_window_samples_total").Value()
@@ -92,36 +96,5 @@ func TestEvaluatePrometheusExport(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
-	}
-}
-
-// TestAnalyzeSessionWithObsWindows: the file pipeline gets a span per
-// manifest window on the session's virtual clock.
-func TestAnalyzeSessionWithObsWindows(t *testing.T) {
-	manifest := []byte("server test\nrun 0 20 alpha\nrun 20 40 beta\n")
-	var csv bytes.Buffer
-	csv.WriteString("Time,Power\n")
-	for i := 0; i < 41; i++ {
-		fmt.Fprintf(&csv, "%d,100\n", i)
-	}
-	o := obs.New()
-	out, err := AnalyzeSessionWithObs(manifest, 0, o, csv.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("want 2 programs, got %d", len(out))
-	}
-	var windows int
-	for _, e := range o.Tracer.Events() {
-		if e.Phase == 'B' && strings.HasPrefix(e.Name, "window ") {
-			windows++
-		}
-	}
-	if windows != 2 {
-		t.Errorf("want one window span per manifest entry, got %d", windows)
-	}
-	if v := o.Counter("core_csv_samples_total").Value(); v != 41 {
-		t.Errorf("core_csv_samples_total = %d, want 41", v)
 	}
 }

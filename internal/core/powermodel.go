@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -16,6 +17,7 @@ import (
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
 	"powerbench/internal/stats"
+	"powerbench/internal/tracectx"
 	"powerbench/internal/workload"
 )
 
@@ -50,26 +52,21 @@ const robustZThreshold = 10.0
 // pool's workers — each on an engine forked by ("train", script index,
 // model name) identity — and concatenates the per-window observations in
 // script order, so the training matrix is byte-identical at every worker
-// count.
-func collectTrainingRuns(engine *sim.Engine, models []workload.Model, o *obs.Obs, p *sched.Pool) ([][]float64, []float64, error) {
+// count. Each run lands in ctx's trace as "train job <i>/run <name>".
+func collectTrainingRuns(ctx context.Context, engine *sim.Engine, models []workload.Model, o *obs.Obs, p *sched.Pool) ([][]float64, []float64, error) {
 	type observations struct {
 		xs [][]float64
 		ys []float64
 	}
 	runs := make([]observations, len(models))
-	err := p.Run("train", len(models), func(i int) error {
+	err := p.RunTracedCtx(ctx, "train", len(models), func(jctx context.Context, i int) error {
 		m := models[i]
-		// Root span per collect: the jobs run concurrently, so nesting
-		// them under the training span would interleave begin/end pairs
-		// on its track.
-		runSpan := o.Span("collect "+m.Name, "regression")
-		defer runSpan.End()
 		eng := engine.Fork("train", strconv.Itoa(i), m.Name)
-		x, y, err := collectRun(eng, m)
+		x, y, err := collectRun(jctx, eng, m)
 		if err != nil {
 			return fmt.Errorf("core: training on %s: %w", m.Name, err)
 		}
-		runSpan.Arg("observations", len(x))
+		tracectx.FromContext(jctx).Attr("observations", len(x))
 		o.Counter("core_training_observations_total").Add(int64(len(x)))
 		runs[i] = observations{xs: x, ys: y}
 		return nil
@@ -91,8 +88,8 @@ func collectTrainingRuns(engine *sim.Engine, models []workload.Model, o *obs.Obs
 // injector the observables are hardened first: counter wrap is corrected
 // across the run's windows and the power trace repaired onto its grid —
 // the clean path takes neither branch and keeps its historic bytes.
-func collectRun(engine *sim.Engine, m workload.Model) ([][]float64, []float64, error) {
-	run, err := engine.Run(m, 0)
+func collectRun(ctx context.Context, engine *sim.Engine, m workload.Model) ([][]float64, []float64, error) {
+	run, err := engine.RunCtx(ctx, m, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -118,25 +115,23 @@ func collectRun(engine *sim.Engine, m workload.Model) ([][]float64, []float64, e
 // normalize to unify dimensions, and fit the power regression by forward
 // stepwise selection.
 func TrainPowerModel(spec *server.Spec, seed float64) (*TrainingResult, error) {
-	return TrainPowerModelWithObs(spec, seed, nil)
+	return TrainPowerModelCtx(context.Background(), spec, seed, EvalOptions{})
 }
 
-// TrainPowerModelWithObs is TrainPowerModel with telemetry: a span per
-// training program, an observation counter, and a span around the stepwise
-// fit. A nil Obs makes it identical to TrainPowerModel.
-func TrainPowerModelWithObs(spec *server.Spec, seed float64, o *obs.Obs) (*TrainingResult, error) {
-	return TrainPowerModelWithPool(spec, seed, o, nil)
-}
-
-// TrainPowerModelWithPool is the scheduled form of the training sweep. The
-// HPCC runs behind the regression are mutually independent — "test scripts
-// sequentially start the seven HPCC programs" only because the paper had
-// one physical server — so each (component, core-count) run is a scheduler
-// job on an engine forked by training identity, and the observation matrix
-// is concatenated in script order after the barrier. Training output is
-// byte-identical at every worker count; a nil pool runs sequentially.
-func TrainPowerModelWithPool(spec *server.Spec, seed float64, o *obs.Obs, p *sched.Pool) (*TrainingResult, error) {
-	sp := o.Span("train "+spec.Name, "regression").Arg("seed", seed).Arg("jobs", p.Workers())
+// TrainPowerModelCtx is TrainPowerModel with telemetry and scheduling from
+// opts (Obs and Pool; the fault and flight fields do not apply to
+// training). The HPCC runs behind the regression are mutually independent
+// — "test scripts sequentially start the seven HPCC programs" only because
+// the paper had one physical server — so each (component, core-count) run
+// is a scheduler job on an engine forked by training identity, and the
+// observation matrix is concatenated in script order after the barrier.
+// Training output is byte-identical at every worker count; a nil pool runs
+// sequentially. When ctx carries a tracectx span, the sweep appears under
+// it as a "train <server>" span with one job per run and a "stepwise fit"
+// span.
+func TrainPowerModelCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*TrainingResult, error) {
+	o := opts.Obs
+	sp := tracectx.FromContext(ctx).Child("train "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
 	defer sp.End()
 	models, err := hpcc.TrainingModels(spec)
 	if err != nil {
@@ -144,7 +139,7 @@ func TrainPowerModelWithPool(spec *server.Spec, seed float64, o *obs.Obs, p *sch
 	}
 	engine := sim.New(spec, seed)
 	engine.Obs = o
-	xs, ys, err := collectTrainingRuns(engine, models, o, p)
+	xs, ys, err := collectTrainingRuns(tracectx.ContextWith(ctx, sp), engine, models, o, opts.Pool)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +310,7 @@ func VerifyPowerModel(spec *server.Spec, t *TrainingResult, class npb.Class, see
 			if err != nil {
 				continue
 			}
-			xs, ys, err := collectRun(engine, m)
+			xs, ys, err := collectRun(context.Background(), engine, m)
 			if err != nil {
 				return nil, fmt.Errorf("core: verifying %s: %w", m.Name, err)
 			}

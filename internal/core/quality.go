@@ -148,8 +148,6 @@ func EvaluateOpts(spec *server.Spec, seed float64, opts EvalOptions) (*Evaluatio
 // and EvaluateCtx when a fault profile is active.
 func evaluateFaultCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Evaluation, error) {
 	o, p := opts.Obs, opts.Pool
-	sp := o.Span("evaluate "+spec.Name, "evaluate").Arg("seed", seed).Arg("jobs", p.Workers())
-	defer sp.End()
 	tr := tracectx.FromContext(ctx).Child("evaluate "+spec.Name).
 		Attr("server", spec.Name).Attr("seed", seed).Attr("fault_profile", opts.Fault.Name)
 	defer tr.End()
@@ -180,23 +178,25 @@ func evaluateFaultCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 	ev.Quality.addReports(names, reports)
 
 	var sumG, sumW, sumPPW float64
+	var key string
+	if opts.Flight != nil {
+		key = CanonicalHash(spec, seed, HashOpts{Method: "evaluate", FaultProfile: opts.Fault.Name})
+	}
 	var phases []flight.Phase
 	var runEnergy flight.Energy
-	analysis := sp.Child("analysis")
-	tanalysis := tr.Child("analysis")
+	analysis := tr.Child("analysis")
 	for i, r := range results {
 		if reports[i].Err != nil {
 			continue
 		}
 		state := analysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
-		tstate := tanalysis.Child("state "+r.Model.Name).SetVirtual(r.Start, r.End)
 		window := meter.Window(merged, r.Start, r.End)
 		repaired, rep := meter.Repair(window, meter.RepairOpts{
 			Start: r.Start, End: r.End, IntervalSec: engine.Meter.IntervalSec,
 		})
 		// The repair span exists for every state of a hardened run, even with
 		// zero actions: the trace shows the pass happened.
-		tstate.Child("repair").
+		state.Child("repair").
 			Attr("invalid", rep.Invalid).Attr("duplicates", rep.Duplicates).
 			Attr("spikes_clipped", rep.SpikesClipped).Attr("gap_filled", rep.GapSamplesFilled).
 			End()
@@ -221,15 +221,13 @@ func evaluateFaultCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 			// Attribution runs on the repaired window: the record describes
 			// the trace the analysis actually consumed.
 			ph := flightPhase(spec, r, repaired, watts, trimmedCount(len(repaired)))
-			emitEnergyMetrics(o, state.Ref(), spec.Name, ph.Energy)
+			emitEnergyMetrics(o, key, spec.Name, ph)
 			runEnergy.Add(ph.Energy)
 			phases = append(phases, ph)
 		}
-		state.Arg("watts", watts).Arg("repairs", rep.Total()).End()
-		tstate.Attr("watts", watts).Attr("repairs", rep.Total()).End()
+		state.Attr("watts", watts).Attr("repairs", rep.Total()).End()
 	}
 	analysis.End()
-	tanalysis.End()
 	if len(ev.Rows) == 0 {
 		return nil, fmt.Errorf("core: evaluating %s: all %d plan states failed", spec.Name, len(models))
 	}
@@ -240,7 +238,7 @@ func evaluateFaultCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 	if opts.Flight != nil {
 		opts.Flight.Add(flight.Record{
 			Method: "evaluate", Server: spec.Name, Seed: seed,
-			Key:          CanonicalHash(spec, seed, HashOpts{Method: "evaluate", FaultProfile: opts.Fault.Name}),
+			Key:          key,
 			FaultProfile: opts.profileName(),
 			Score:        ev.Score,
 			Phases:       phases,
@@ -271,8 +269,6 @@ func Green500Opts(spec *server.Spec, seed float64, opts EvalOptions) (*Green500R
 // Green500Ctx when a fault profile is active.
 func green500FaultCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*Green500Result, error) {
 	o, p := opts.Obs, opts.Pool
-	sp := o.Span("green500 "+spec.Name, "evaluate")
-	defer sp.End()
 	tr := tracectx.FromContext(ctx).Child("green500 "+spec.Name).
 		Attr("server", spec.Name).Attr("seed", seed).Attr("fault_profile", opts.Fault.Name)
 	defer tr.End()
@@ -312,11 +308,12 @@ func green500FaultCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 	res.AvgWatts = stats.TrimmedMean(meter.Watts(repaired), TrimFrac)
 	res.PPW = workload.PPW(m.GFLOPS, res.AvgWatts)
 	if opts.Flight != nil {
+		key := CanonicalHash(spec, seed, HashOpts{Method: "green500", FaultProfile: opts.Fault.Name})
 		ph := flightPhase(spec, run, repaired, res.AvgWatts, trimmedCount(len(repaired)))
-		emitEnergyMetrics(o, sp.Ref(), spec.Name, ph.Energy)
+		emitEnergyMetrics(o, key, spec.Name, ph)
 		opts.Flight.Add(flight.Record{
 			Method: "green500", Server: spec.Name, Seed: seed,
-			Key:          CanonicalHash(spec, seed, HashOpts{Method: "green500", FaultProfile: opts.Fault.Name}),
+			Key:          key,
 			FaultProfile: opts.profileName(),
 			Score:        res.PPW,
 			Phases:       []flight.Phase{ph},
@@ -344,8 +341,6 @@ func CompareOpts(specs []*server.Spec, seed float64, opts EvalOptions) (*Compari
 // CompareCtx when a fault profile is active.
 func compareFaultCtx(ctx context.Context, specs []*server.Spec, seed float64, opts EvalOptions) (*Comparison, error) {
 	o, p := opts.Obs, opts.Pool
-	cmpSpan := o.Span("compare", "evaluate").Arg("servers", len(specs)).Arg("jobs", p.Workers())
-	defer cmpSpan.End()
 	tr := tracectx.FromContext(ctx).Child("compare").
 		Attr("servers", len(specs)).Attr("seed", seed).Attr("fault_profile", opts.Fault.Name)
 	defer tr.End()
@@ -367,9 +362,7 @@ func compareFaultCtx(ctx context.Context, specs []*server.Spec, seed float64, op
 		if err != nil {
 			return err
 		}
-		ssjSpan := o.Span("specpower "+spec.Name, "evaluate")
 		sp, err := ssj.Run(spec)
-		ssjSpan.End()
 		if err != nil {
 			return err
 		}

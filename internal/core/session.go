@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"powerbench/internal/meter"
-	"powerbench/internal/obs"
 )
 
 // The paper's test procedure is file-based: WTViewer writes power CSVs on
@@ -96,53 +95,34 @@ type ProgramPower struct {
 // WTViewer rotates files), optionally undo a known clock skew, extract
 // each program's window from the manifest, trim 10% head/tail and average.
 func AnalyzeSession(manifest []byte, skewSec float64, csvFiles ...[]byte) ([]ProgramPower, error) {
-	return AnalyzeSessionWithObs(manifest, skewSec, nil, csvFiles...)
-}
-
-// AnalyzeSessionWithObs is AnalyzeSession with telemetry: spans for the
-// merge and for each program window (on the session's virtual clock), plus
-// counters for parsed, merged and trim-dropped samples.
-func AnalyzeSessionWithObs(manifest []byte, skewSec float64, o *obs.Obs, csvFiles ...[]byte) ([]ProgramPower, error) {
-	sp := o.Span("analyze session", "analysis").Arg("csv_files", len(csvFiles))
-	defer sp.End()
 	session, err := ParseManifest(manifest)
 	if err != nil {
 		return nil, err
 	}
-	mergeSpan := sp.Child("merge logs")
 	var logs [][]meter.Sample
 	for i, f := range csvFiles {
 		log, err := meter.UnmarshalCSV(f)
 		if err != nil {
-			mergeSpan.End()
 			return nil, fmt.Errorf("core: CSV file %d: %w", i, err)
 		}
-		o.Counter("core_csv_samples_total").Add(int64(len(log)))
 		logs = append(logs, log)
 	}
 	merged := meter.Merge(logs...)
 	if skewSec != 0 {
 		merged = meter.Synchronize(merged, skewSec)
 	}
-	mergeSpan.Arg("samples", len(merged)).End()
-	o.Infof("session %s: merged %d samples from %d files", session.Server, len(merged), len(csvFiles))
 	var out []ProgramPower
 	for _, e := range session.Entries {
-		winSpan := sp.Child("window "+e.Program).SetVirtual(e.Start, e.End)
 		w := meter.Window(merged, e.Start, e.End)
 		if len(w) == 0 {
-			winSpan.End()
 			return nil, fmt.Errorf("core: no samples for %s in [%v, %v]", e.Program, e.Start, e.End)
 		}
-		o.Counter("core_window_samples_total").Add(int64(len(w)))
-		o.Counter("core_trim_dropped_samples_total").Add(int64(trimmedCount(len(w))))
 		out = append(out, ProgramPower{
 			Program:  e.Program,
 			Watts:    AveragePower(merged, e.Start, e.End),
 			Samples:  len(w),
 			Duration: e.End - e.Start,
 		})
-		winSpan.Arg("samples", len(w)).End()
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Program < out[j].Program })
 	return out, nil

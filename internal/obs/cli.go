@@ -8,13 +8,11 @@ import (
 )
 
 // CLI bundles the observability command-line surface shared by the
-// repository's binaries: -metrics-out / -trace-out exporter paths and the
-// -v / -q verbosity pair. Register it on a FlagSet, build the run's Obs
-// with NewObs once flags are parsed, and Flush the exporter files when the
-// run completes.
+// repository's binaries: the -metrics-out exporter path and the -v / -q
+// verbosity pair. Register it on a FlagSet, build the run's Obs with NewObs
+// once flags are parsed, and Flush the snapshot file when the run completes.
 type CLI struct {
 	MetricsOut string
-	TraceOut   string
 	Verbosity  int
 	Quiet      bool
 }
@@ -22,7 +20,6 @@ type CLI struct {
 // Register installs the telemetry flags on fs.
 func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsOut, "metrics-out", "", "write a JSON metrics snapshot to this file")
-	fs.StringVar(&c.TraceOut, "trace-out", "", "write a Chrome trace_event JSON file (chrome://tracing, Perfetto)")
 	fs.BoolVar(&c.Quiet, "q", false, "suppress normal report output")
 	fs.BoolFunc("v", "increase diagnostic verbosity (repeat for debug detail)", func(string) error {
 		c.Verbosity++
@@ -38,38 +35,28 @@ func (c *CLI) NewObs(stdout, stderr io.Writer) *Obs {
 	log.SetQuiet(c.Quiet)
 	reg := NewRegistry()
 	PublishBuildInfo(reg)
-	return &Obs{
-		Metrics: reg,
-		Tracer:  NewTracer(),
-		Log:     log,
-	}
+	return &Obs{Metrics: reg, Log: log}
 }
 
-// Flush writes the requested exporter files, reporting failures to stderr.
-// It returns a process exit code: 0 on success, 1 if any write failed.
+// Flush writes the -metrics-out snapshot, reporting failures to stderr. It
+// returns a process exit code: 0 on success (or with no file requested), 1
+// if the write failed.
 func (c *CLI) Flush(o *Obs, stderr io.Writer) int {
-	write := func(path string, fn func(io.Writer) error) int {
-		if path == "" {
-			return 0
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		werr := fn(f)
-		cerr := f.Close()
-		if werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", path, werr)
-			return 1
-		}
+	if c.MetricsOut == "" {
 		return 0
 	}
-	if rc := write(c.MetricsOut, func(w io.Writer) error { return WriteJSON(w, o) }); rc != 0 {
-		return rc
+	f, err := os.Create(c.MetricsOut)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	return write(c.TraceOut, func(w io.Writer) error { return WriteChromeTrace(w, o.Tracer) })
+	werr := WriteJSON(f, o)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", c.MetricsOut, werr)
+		return 1
+	}
+	return 0
 }

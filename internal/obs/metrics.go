@@ -162,12 +162,13 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Exemplar links one recent observation of a histogram to the trace span
-// that produced it, the way OpenMetrics exemplars tie a bucket to a trace ID.
+// Exemplar links one recent observation of a histogram to the work that
+// produced it, the way OpenMetrics exemplars tie a bucket to a trace ID.
 // Only the latest exemplar is kept: it is a debugging breadcrumb ("which run
 // produced this tail value?"), not a statistic.
 type Exemplar struct {
-	// Ref identifies the originating span (Span.Ref).
+	// Ref identifies the originating work by content: a request trace id
+	// ("trace:<id>") or a flight record key and phase ("<key>/<phase>").
 	Ref string `json:"ref"`
 	// Value is the observed value the exemplar annotates.
 	Value float64 `json:"value"`
@@ -211,7 +212,7 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records v and attaches a span reference as the
+// ObserveExemplar records v and attaches a content reference as the
 // histogram's latest exemplar. An empty ref degrades to a plain Observe.
 func (h *Histogram) ObserveExemplar(v float64, ref string) {
 	if h == nil {

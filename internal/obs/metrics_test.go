@@ -45,9 +45,6 @@ func TestNilSafety(t *testing.T) {
 	o.Counter("x").Add(1)
 	o.Gauge("x").Set(1)
 	o.Histogram("x", nil).Observe(1)
-	sp := o.Span("s", "c")
-	sp.Child("child").SetVirtual(0, 1).Arg("k", "v").End()
-	sp.End()
 	o.Infof("hello %d", 1)
 	o.Debugf("debug")
 
@@ -56,8 +53,6 @@ func TestNilSafety(t *testing.T) {
 	if got := r.Snapshot(); len(got.Metrics) != 0 {
 		t.Errorf("nil registry snapshot has %d metrics", len(got.Metrics))
 	}
-	var tr *Tracer
-	tr.Start("s", "c").End()
 	var l *Logger
 	l.Reportf("r")
 	l.Infof("i")

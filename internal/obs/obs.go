@@ -1,31 +1,30 @@
 // Package obs is the repository's observability substrate: a dependency-free
 // telemetry layer with a concurrency-safe metrics registry (counters, gauges,
-// histograms with labels), a span tracer that records both wall-clock time and
-// the simulation's virtual clock, and a leveled structured event log that
-// replaces ad-hoc fmt.Printf progress output.
+// histograms with labels) and a leveled structured event log that replaces
+// ad-hoc fmt.Printf progress output. Spans are not obs's business: the one
+// span model is internal/tracectx, whose identity-derived trees are what
+// powerbench -trace-out exports and powerbenchd serves.
 //
 // The paper's method is itself an instrumentation pipeline — meter samples,
 // PMU windows, per-program time windows — and production power-telemetry
 // systems (the Cray PMDB validation experience, EfiMon's collection loop; see
-// PAPERS.md) show that the measurement infrastructure needs its own counters,
-// timestamps and exportable traces to be trustworthy. This package gives the
-// evaluation pipeline that layer. Three exporters are provided: Prometheus
-// text exposition format, a JSON snapshot, and Chrome trace_event JSON that
-// opens directly in chrome://tracing or Perfetto.
+// PAPERS.md) show that the measurement infrastructure needs its own counters
+// and timestamps to be trustworthy. This package gives the evaluation
+// pipeline that layer. Two exporters are provided: Prometheus text
+// exposition format and a JSON snapshot.
 //
-// Every entry point is nil-safe: a nil *Obs (or nil *Registry/*Tracer/*Logger,
-// or the nil metric handles they return) turns the whole layer into a no-op
+// Every entry point is nil-safe: a nil *Obs (or nil *Registry/*Logger, or
+// the nil metric handles they return) turns the whole layer into a no-op
 // whose cost is one pointer comparison, so instrumented hot paths need no
 // conditional wiring and pay nothing when observability is off.
 package obs
 
 import "io"
 
-// Obs bundles the three telemetry facilities handed through the pipeline.
-// Any field may be nil; the helper methods below degrade to no-ops.
+// Obs bundles the two telemetry facilities handed through the pipeline.
+// Either field may be nil; the helper methods below degrade to no-ops.
 type Obs struct {
 	Metrics *Registry
-	Tracer  *Tracer
 	Log     *Logger
 
 	// attrs are base labels merged into every metric lookup (WithAttrs);
@@ -35,7 +34,7 @@ type Obs struct {
 
 // WithAttrs returns a shallow copy of o whose metric lookups carry the given
 // base labels in addition to the call-site labels (call-site values win on a
-// key collision). The underlying registry, tracer and logger are shared, so
+// key collision). The underlying registry and logger are shared, so
 // a subsystem can stamp its identity — L("subsystem", "serve") — onto every
 // metric it touches without threading labels through each call. Nil o
 // returns nil.
@@ -70,13 +69,12 @@ func (o *Obs) mergeAttrs(labels []Label) []Label {
 	return append(out, labels...)
 }
 
-// New returns an Obs with a live registry and tracer and a discard logger,
-// the configuration used by tests and by callers that only want metrics and
-// traces. CLI frontends replace Log with a Logger over their real streams.
+// New returns an Obs with a live registry and a discard logger, the
+// configuration used by tests and by callers that only want metrics. CLI
+// frontends replace Log with a Logger over their real streams.
 func New() *Obs {
 	return &Obs{
 		Metrics: NewRegistry(),
-		Tracer:  NewTracer(),
 		Log:     NewLogger(io.Discard, io.Discard, 0),
 	}
 }
@@ -104,14 +102,6 @@ func (o *Obs) Histogram(name string, buckets []float64, labels ...Label) *Histog
 		return nil
 	}
 	return o.Metrics.Histogram(name, buckets, o.mergeAttrs(labels)...)
-}
-
-// Span starts a root span on the tracer, or returns a no-op nil span.
-func (o *Obs) Span(name, cat string) *Span {
-	if o == nil || o.Tracer == nil {
-		return nil
-	}
-	return o.Tracer.Start(name, cat)
 }
 
 // Infof logs a progress event (shown with -v).

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -28,23 +29,43 @@ func fitLogLogSlope(sizes []int, costs []float64) float64 {
 	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }
 
-// measure times fn at every ladder rung, interleaving rounds (rung 1..k,
-// then again) and keeping each rung's minimum, so a transient slowdown of
-// the host skews at most one round instead of one end of the ladder. fn
-// must perform work proportional to its rung's size exactly once per call.
-func measure(t *testing.T, sizes []int, rounds, reps int, fn func(rung int)) []float64 {
+// minRoundTime is the least wall time one round spends on a rung. A rung
+// of a few short calls is decided by whether a GC cycle lands inside it
+// (the trace-length pipeline allocates a 512 KB merge buffer per call at
+// the top rung); tens of milliseconds of calls average that out.
+const minRoundTime = 20 * time.Millisecond
+
+// measure times fn at every ladder rung and returns the per-call cost. Each
+// rung first calibrates its call count, doubling it until one batch takes
+// at least minRoundTime. Rounds then interleave the rungs (1..k, then
+// again), each batch starting from a freshly collected heap, and keep each
+// rung's minimum, so a transient slowdown of the host skews at most one
+// round instead of one end of the ladder. fn must perform work
+// proportional to its rung's size exactly once per call.
+func measure(t *testing.T, sizes []int, rounds int, fn func(rung int)) []float64 {
 	t.Helper()
+	batch := func(i, reps int) time.Duration {
+		runtime.GC()
+		start := time.Now()
+		for k := 0; k < reps; k++ {
+			fn(i)
+		}
+		return time.Since(start)
+	}
+	reps := make([]int, len(sizes))
+	for i := range sizes {
+		reps[i] = 1
+		for batch(i, reps[i]) < minRoundTime {
+			reps[i] *= 2
+		}
+	}
 	best := make([]float64, len(sizes))
 	for i := range best {
 		best[i] = math.Inf(1)
 	}
 	for r := 0; r < rounds; r++ {
 		for i := range sizes {
-			startT := time.Now()
-			for k := 0; k < reps; k++ {
-				fn(i)
-			}
-			if d := float64(time.Since(startT)) / float64(reps); d < best[i] {
+			if d := float64(batch(i, reps[i])) / float64(reps[i]); d < best[i] {
 				best[i] = d
 			}
 		}
@@ -89,7 +110,7 @@ func TestScalingSlopes(t *testing.T) {
 			c.first, c.second, c.start, c.end = traceHalves(n)
 			cases[i] = c
 		}
-		costs := measure(t, scalingTraceSizes, 5, 10, func(i int) {
+		costs := measure(t, scalingTraceSizes, 5, func(i int) {
 			c := cases[i]
 			if w := analysisPipeline(c.first, c.second, c.start, c.end); w <= 0 {
 				t.Fatal("degenerate window")
@@ -100,7 +121,7 @@ func TestScalingSlopes(t *testing.T) {
 
 	t.Run("run-count", func(t *testing.T) {
 		spec := server.XeonE5462()
-		costs := measure(t, scalingRunSizes, 5, 3, func(i int) {
+		costs := measure(t, scalingRunSizes, 5, func(i int) {
 			e := sim.New(spec, 5)
 			if _, _, err := e.RunSequence(idleSession(scalingRunSizes[i]), 0); err != nil {
 				t.Fatal(err)
@@ -113,7 +134,7 @@ func TestScalingSlopes(t *testing.T) {
 		spec := server.XeonE5462()
 		cfgs := spec.CacheHierarchy()
 		p := cache.Pattern{WorkingSetBytes: 64 << 20, SequentialFrac: 0.5, StrideBytes: 8, WriteFrac: 0.3}
-		costs := measure(t, scalingAccessSizes, 3, 1, func(i int) {
+		costs := measure(t, scalingAccessSizes, 3, func(i int) {
 			if _, err := cache.ProfileUncached(p, scalingAccessSizes[i], rng.DefaultSeed, cfgs...); err != nil {
 				t.Fatal(err)
 			}

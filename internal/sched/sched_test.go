@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"powerbench/internal/obs"
+	"powerbench/internal/tracectx"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -139,11 +141,13 @@ func TestRunEmpty(t *testing.T) {
 }
 
 // TestRunTelemetry: the pool reports dispatch counters, a drained queue
-// gauge, and one worker span per worker with one child per job.
+// gauge, and one trace span per job under the caller's span.
 func TestRunTelemetry(t *testing.T) {
 	o := obs.New()
 	pool := New(2, o)
-	if err := pool.Run("work", 10, func(int) error { return nil }); err != nil {
+	tr := tracectx.New(tracectx.DeriveID("sched-telemetry"), "root", "test")
+	ctx := tracectx.ContextWith(context.Background(), tr.Root())
+	if err := pool.RunCtx(ctx, "work", 10, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := o.Counter("sched_jobs_total").Value(); got != 10 {
@@ -155,20 +159,15 @@ func TestRunTelemetry(t *testing.T) {
 	if got := o.Gauge("sched_queue_depth").Value(); got != 0 {
 		t.Errorf("queue depth after drain = %v, want 0", got)
 	}
-	var workerSpans, jobSpans int
-	for _, e := range o.Tracer.Events() {
-		if e.Phase != 'B' {
-			continue
-		}
-		if strings.HasPrefix(e.Name, "work worker") {
-			workerSpans++
-		}
-		if strings.HasPrefix(e.Name, "work job") {
+	doc := tr.Export()
+	jobSpans := 0
+	for _, sp := range doc.Spans {
+		if strings.HasPrefix(sp.Name, "work job") {
 			jobSpans++
+			if sp.Path != "root/"+sp.Name {
+				t.Errorf("job span %q not parented on the caller's span", sp.Path)
+			}
 		}
-	}
-	if workerSpans != 2 {
-		t.Errorf("worker spans = %d, want 2", workerSpans)
 	}
 	if jobSpans != 10 {
 		t.Errorf("job spans = %d, want one per job (10)", jobSpans)

@@ -85,6 +85,9 @@ func resolveSpec(name string, spec *server.Spec) (*server.Spec, error) {
 		if err := spec.Validate(); err != nil {
 			return nil, badField("spec", "invalid spec: %v", err)
 		}
+		if err := checkBuiltinName(spec, "spec.Name"); err != nil {
+			return nil, err
+		}
 		return spec, nil
 	case name != "":
 		sp, err := server.ByName(name)
@@ -95,6 +98,22 @@ func resolveSpec(name string, spec *server.Spec) (*server.Spec, error) {
 	default:
 		return nil, badField("server", "request must set server (built-in name) or spec (custom)")
 	}
+}
+
+// checkBuiltinName rejects a custom spec that reuses a built-in server's
+// name with different content. The method picks the paper's reference plan
+// by name (core.PlanStates), so such a spec would be scored as the built-in
+// while hashing — and caching — as a server of its own. A spec equal to the
+// built-in in every hashed field is the built-in and passes.
+func checkBuiltinName(spec *server.Spec, field string) error {
+	builtin, err := server.ByName(spec.Name)
+	if err != nil {
+		return nil
+	}
+	if core.CanonicalHash(spec, 0, core.HashOpts{}) != core.CanonicalHash(builtin, 0, core.HashOpts{}) {
+		return badField(field, "spec reuses the built-in server name %q with different content; rename it or send the built-in unchanged", spec.Name)
+	}
+	return nil
 }
 
 // resolveProfile validates the request's fault profile name; an unknown
@@ -211,6 +230,9 @@ func resolveSpecs(names []string, specs []*server.Spec) ([]*server.Spec, error) 
 			}
 			if err := sp.Validate(); err != nil {
 				return nil, badField(fmt.Sprintf("specs[%d]", i), "invalid spec: %v", err)
+			}
+			if err := checkBuiltinName(sp, fmt.Sprintf("specs[%d].Name", i)); err != nil {
+				return nil, err
 			}
 		}
 		return specs, nil

@@ -591,10 +591,16 @@ func (s *Server) joinOrBegin(key string, fn computeFn, t *traceTask) (f *serveFl
 // whose computation completed still leaves a full trace behind.
 func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t *traceTask) {
 	defer s.wg.Done()
-	defer func() { <-s.admit }()
 	inflight := s.obs.Gauge("serve_compute_inflight")
 	inflight.Add(1)
-	defer inflight.Add(-1)
+	// settle frees the admission slot before it wakes the waiters: a
+	// closed-loop client holding -max-inflight connections sends its next
+	// request the moment its reply lands, and must find the slot free.
+	settle := func(status int, body []byte) {
+		inflight.Add(-1)
+		<-s.admit
+		s.flights.settle(f, status, body)
+	}
 
 	// Ownership check: when the ring assigns this key to a healthy peer,
 	// a bounded-deadline fetch from the owner runs before any local
@@ -619,7 +625,7 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 			s.obs.Gauge("serve_cache_entries").Set(float64(s.cache.Len()))
 			f.via, f.peer = "peer", owner
 			s.storeTrace(t.tr, t.route, t.key, http.StatusOK, t.faulted, "peer", time.Since(fetchStart))
-			s.flights.settle(f, http.StatusOK, body)
+			settle(http.StatusOK, body)
 			return
 		}
 		ps.Attr("result", "miss").End()
@@ -686,7 +692,7 @@ func (s *Server) runFlight(ctx context.Context, f *serveFlight, fn computeFn, t 
 	// X-Powerbench-Trace header off its response can fetch the trace
 	// immediately, no settle/store race.
 	s.storeTrace(t.tr, t.route, t.key, status, t.faulted, "miss", dur)
-	s.flights.settle(f, status, body)
+	settle(status, body)
 }
 
 // --- response helpers ---

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -144,6 +145,56 @@ func TestRequestValidation(t *testing.T) {
 			rec := do(s, tc.method, tc.path, tc.body)
 			if rec.Code != tc.want {
 				t.Errorf("status %d, want %d (body: %s)", rec.Code, tc.want, rec.Body.String())
+			}
+		})
+	}
+}
+
+// Identity is content, never a name: a custom spec may reuse a built-in
+// server's name only if it is that server. Both validation sites — the
+// single spec of evaluate/green500 and the specs list of compare — answer a
+// look-alike with a 400 naming the field.
+func TestCustomSpecBuiltinName(t *testing.T) {
+	s := newTestServer(t, Config{})
+	builtin := server.XeonE5462()
+	shrunk := server.XeonE5462()
+	shrunk.Cores, shrunk.Chips = 8, 2
+	fresh := server.XeonE5462()
+	fresh.Name = "Xeon-E5462-custom"
+	cases := []struct {
+		name      string
+		spec      *server.Spec
+		want      int
+		wantField string
+	}{
+		{"built-in name, different content", shrunk, http.StatusBadRequest, "spec.Name"},
+		{"exact built-in as custom spec", builtin, http.StatusOK, ""},
+		{"same content, fresh name", fresh, http.StatusOK, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := json.Marshal(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, req := range []struct{ path, body, field string }{
+				{"/v1/evaluate", fmt.Sprintf(`{"spec":%s,"seed":1}`, spec), tc.wantField},
+				{"/v1/green500", fmt.Sprintf(`{"spec":%s,"seed":1}`, spec), tc.wantField},
+				{"/v1/compare", fmt.Sprintf(`{"specs":[%s],"seed":1}`, spec), strings.Replace(tc.wantField, "spec", "specs[0]", 1)},
+			} {
+				rec := do(s, "POST", req.path, req.body)
+				if rec.Code != tc.want {
+					t.Fatalf("%s: status %d, want %d: %s", req.path, rec.Code, tc.want, rec.Body.String())
+				}
+				if tc.want != http.StatusBadRequest {
+					continue
+				}
+				var e struct {
+					Field string `json:"field"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Field != req.field {
+					t.Errorf("%s: field %q, want %q (%v)", req.path, e.Field, req.field, err)
+				}
 			}
 		})
 	}
@@ -295,6 +346,32 @@ func TestAdmissionControl429(t *testing.T) {
 	close(release)
 	if rec := do(s, "POST", "/v1/evaluate", `{"server":"Xeon-E5462","seed":3}`); rec.Code != http.StatusOK {
 		t.Errorf("post-drain request: status %d", rec.Code)
+	}
+}
+
+// A closed-loop client at -max-inflight connections never sees a 429: the
+// admission slot is free by the time its reply lands, so every next miss
+// is admitted, and /healthz reports no computation in flight after each
+// reply.
+func TestAdmissionSlotFreedBeforeReply(t *testing.T) {
+	s := newTestServer(t, Config{MaxInFlight: 1})
+	s.evalFn = func(ctx context.Context, spec *server.Spec, seed float64, opts core.EvalOptions) (*core.Evaluation, error) {
+		return &core.Evaluation{Server: spec.Name, Score: seed}, nil
+	}
+	for i := 0; i < 50; i++ {
+		rec := do(s, "POST", "/v1/evaluate", fmt.Sprintf(`{"server":"Xeon-E5462","seed":%d}`, i))
+		if rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != "miss" {
+			t.Fatalf("miss %d: status %d, cache %q: %s", i, rec.Code, rec.Header().Get(cacheHeader), rec.Body.String())
+		}
+		var h struct {
+			Inflight int `json:"inflight"`
+		}
+		if err := json.Unmarshal(do(s, "GET", "/healthz", "").Body.Bytes(), &h); err != nil {
+			t.Fatal(err)
+		}
+		if h.Inflight != 0 {
+			t.Fatalf("after reply %d: healthz inflight %d, want 0", i, h.Inflight)
+		}
 	}
 }
 

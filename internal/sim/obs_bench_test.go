@@ -8,10 +8,11 @@ import (
 	"powerbench/internal/workload"
 )
 
-// BenchmarkObsOverhead compares an instrumented run sequence against the
-// nil-Obs baseline. The CI gate requires the instrumented path to stay
-// within a few percent of baseline — telemetry must never dominate the
-// simulation it observes.
+// BenchmarkObsOverhead compares a run sequence with live metrics and logs
+// against the nil-Obs baseline. The CI gate requires the instrumented path
+// to stay within 5% of baseline — telemetry must never dominate the
+// simulation it observes. (Spans are tracectx's and are priced by the
+// tracing gate, BenchmarkEvaluateParallel/jobs4-trace.)
 func BenchmarkObsOverhead(b *testing.B) {
 	// Paper-scale durations: telemetry cost is per run and per PMU window,
 	// so the overhead ratio is measured against a realistic amount of

@@ -79,8 +79,6 @@ func (e *Engine) RunPlanPartial(models []workload.Model, gapSec float64, pool *s
 // in the reports as sched.ErrCancelled give-ups.
 func (e *Engine) RunPlanPartialCtx(ctx context.Context, models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, []sched.JobReport) {
 	starts := Timeline(models, gapSec)
-	sp := e.Obs.Span("plan", "run").Arg("models", len(models)).Arg("jobs", pool.Workers())
-	defer sp.End()
 
 	// The gaps only depend on the timeline; record them up front, each
 	// from its own identity-seeded meter.
@@ -102,7 +100,7 @@ func (e *Engine) RunPlanPartialCtx(ctx context.Context, models []workload.Model,
 		if eng.Fault.RunFails(attempt) {
 			return fault.ErrTransient
 		}
-		r, err := eng.run(jctx, models[i], starts[i], nil)
+		r, err := eng.RunCtx(jctx, models[i], starts[i])
 		if err != nil {
 			return err
 		}
@@ -111,7 +109,6 @@ func (e *Engine) RunPlanPartialCtx(ctx context.Context, models []workload.Model,
 	})
 
 	logs := make([][]meter.Sample, 0, 2*len(models))
-	end := 0.0
 	for i, r := range results {
 		if gaps[i] != nil {
 			logs = append(logs, gaps[i])
@@ -120,8 +117,6 @@ func (e *Engine) RunPlanPartialCtx(ctx context.Context, models []workload.Model,
 			continue
 		}
 		logs = append(logs, r.PowerLog)
-		end = r.End
 	}
-	sp.SetVirtual(0, end)
 	return results, meter.Merge(logs...), reports
 }

@@ -36,9 +36,8 @@ type Engine struct {
 	// WiggleFrac modulates steady-state power by a slow oscillation of this
 	// relative amplitude, imitating program phase structure.
 	WiggleFrac float64
-	// Obs receives spans (one per run, with ramp/steady phases on the
-	// simulation's virtual clock) and sample counters. Nil disables
-	// telemetry at the cost of a pointer check.
+	// Obs receives sample counters. Nil disables telemetry at the cost of a
+	// pointer check. Spans come from the tracectx span in a run's context.
 	Obs *obs.Obs
 
 	// Fault optionally corrupts the run's observables (meter trace, PMU
@@ -111,7 +110,7 @@ func (r RunResult) Duration() float64 { return r.End - r.Start }
 
 // Run executes m starting at server-clock time start.
 func (e *Engine) Run(m workload.Model, start float64) (RunResult, error) {
-	return e.run(context.Background(), m, start, nil)
+	return e.RunCtx(context.Background(), m, start)
 }
 
 // RunCtx is Run under a context: when ctx carries a tracectx span (threaded
@@ -120,27 +119,14 @@ func (e *Engine) Run(m workload.Model, start float64) (RunResult, error) {
 // PMU children. The simulation itself has no preemption points, so ctx does
 // not cancel a run; it only carries the trace.
 func (e *Engine) RunCtx(ctx context.Context, m workload.Model, start float64) (RunResult, error) {
-	return e.run(ctx, m, start, nil)
-}
-
-// run is Run with an optional parent span, so RunSequence can nest its runs
-// under the sequence span while direct Run calls open their own track.
-func (e *Engine) run(ctx context.Context, m workload.Model, start float64, parent *obs.Span) (RunResult, error) {
 	if err := m.Validate(); err != nil {
 		return RunResult{}, err
 	}
 	if m.DurationSec <= 0 {
 		return RunResult{}, fmt.Errorf("sim: %s has no duration", m.Name)
 	}
-	var sp *obs.Span
-	if parent != nil {
-		sp = parent.Child("run " + m.Name)
-	} else {
-		sp = e.Obs.Span("run "+m.Name, "run")
-	}
+	sp := tracectx.FromContext(ctx).Child("run " + m.Name)
 	defer sp.End()
-	tsp := tracectx.FromContext(ctx).Child("run " + m.Name)
-	defer tsp.End()
 	steady := e.Server.PowerOf(m)
 	idle := e.Server.IdleWatts
 	ramp := e.RampSec
@@ -168,28 +154,20 @@ func (e *Engine) run(ctx context.Context, m workload.Model, start float64, paren
 	}
 
 	sp.SetVirtual(start, end)
-	tsp.SetVirtual(start, end)
 	// The run's phase structure on the virtual clock: the trace shows where
 	// simulated time went even though each phase costs ~no wall time here.
 	sp.Child("ramp-up").SetVirtual(start, start+ramp).End()
 	sp.Child("steady").SetVirtual(start+ramp, end-ramp).End()
 	sp.Child("ramp-down").SetVirtual(end-ramp, end).End()
-	tsp.Child("ramp-up").SetVirtual(start, start+ramp).End()
-	tsp.Child("steady").SetVirtual(start+ramp, end-ramp).End()
-	tsp.Child("ramp-down").SetVirtual(end-ramp, end).End()
 
-	meterSpan := sp.Child("meter record")
-	meterTrace := tsp.Child("meter record")
+	meterTrace := sp.Child("meter record")
 	log := e.Meter.Record(start, end, powerAt)
 	log = e.Fault.CorruptTrace(log)
-	meterSpan.Arg("samples", len(log)).End()
 	meterTrace.Attr("samples", len(log)).End()
 
-	pmuSpan := sp.Child("pmu collect")
-	pmuTrace := tsp.Child("pmu collect")
+	pmuTrace := sp.Child("pmu collect")
 	samples, err := e.PMU.Collect(e.Server, m)
 	if err != nil {
-		pmuSpan.End()
 		pmuTrace.Attr("error", err.Error()).End()
 		return RunResult{}, err
 	}
@@ -197,7 +175,6 @@ func (e *Engine) run(ctx context.Context, m workload.Model, start float64, paren
 		samples[i].T += start
 	}
 	samples = e.Fault.CorruptPMU(samples)
-	pmuSpan.Arg("windows", len(samples)).End()
 	pmuTrace.Attr("windows", len(samples)).End()
 
 	mem := make([]float64, 0, int(m.DurationSec)+1)
@@ -231,8 +208,6 @@ func (e *Engine) run(ctx context.Context, m workload.Model, start float64, paren
 // merged power log of the whole session (including the gaps, recorded at
 // idle power).
 func (e *Engine) RunSequence(models []workload.Model, gapSec float64) ([]RunResult, []meter.Sample, error) {
-	seq := e.Obs.Span("sequence", "run").Arg("models", len(models))
-	defer seq.End()
 	results := make([]RunResult, 0, len(models))
 	logs := make([][]meter.Sample, 0, 2*len(models))
 	t := 0.0
@@ -243,7 +218,7 @@ func (e *Engine) RunSequence(models []workload.Model, gapSec float64) ([]RunResu
 			logs = append(logs, gap)
 			t += gapSec + 1
 		}
-		r, err := e.run(context.Background(), m, t, seq)
+		r, err := e.Run(m, t)
 		if err != nil {
 			return nil, nil, fmt.Errorf("sim: running %s: %w", m.Name, err)
 		}
@@ -251,6 +226,5 @@ func (e *Engine) RunSequence(models []workload.Model, gapSec float64) ([]RunResu
 		logs = append(logs, r.PowerLog)
 		t = r.End + 1
 	}
-	seq.SetVirtual(0, t-1)
 	return results, meter.Merge(logs...), nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 )
@@ -209,6 +210,21 @@ func WriteChrome(w io.Writer, d *Doc) error {
 		TraceEvents []chromeEvent  `json:"traceEvents"`
 		Metadata    map[string]any `json:"metadata"`
 	}{events, map[string]any{"trace": d.Trace, "schema": d.Schema, "tree_hash": d.TreeHash}})
+}
+
+// WriteChromeFile ends t's root span and writes the trace to path in Chrome
+// trace-event JSON: the -trace-out exporter of the command-line binaries.
+func WriteChromeFile(path string, t *Trace) error {
+	t.Root().End()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := WriteChrome(f, t.Export())
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }
 
 func fmtUS(us int64) string {

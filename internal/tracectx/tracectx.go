@@ -3,14 +3,15 @@
 // from HTTP ingress (internal/serve) down through the evaluation pipeline
 // (core → sched → sim), W3C traceparent interop for cross-process hops, and
 // a canonical JSON document format served by powerbenchd's /v1/traces and
-// consumed by `powerbench trace`.
+// consumed by `powerbench trace`. It is the repository's one span model:
+// the CLIs' -trace-out writes a tracectx trace too (WriteChromeFile), and
+// internal/obs carries only metrics and logs.
 //
-// The layer differs from internal/obs's span tracer in one decisive way:
-// identity-derived span ids. An obs span id is its creation ordinal, which
-// depends on scheduling; a tracectx span id is a pure function of the trace
-// id and the span's path (the /-joined chain of span names from the root),
-// so the same request produces the same span ids at any `-jobs` count — the
-// tracing analogue of the scheduler's seed-by-identity contract. Likewise
+// Its decisive property is identity-derived span ids. A span id is a pure
+// function of the trace id and the span's path (the /-joined chain of span
+// names from the root), never a creation ordinal, so the same request
+// produces the same span ids at any `-jobs` count — the tracing analogue of
+// the scheduler's seed-by-identity contract. Likewise
 // the canonical rendering orders spans by path, never by completion order,
 // and excludes wall-clock timings, so a trace tree is byte-identical across
 // worker counts and the tree hash is a content address for "what this

@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestDeriveIDStable(t *testing.T) {
@@ -326,5 +332,155 @@ func TestWriteChromeLanes(t *testing.T) {
 	}
 	if tids["c"] != tids["a"] && tids["c"] != tids["root"] {
 		t.Fatalf("non-overlapping child opened a fresh lane: %v", tids)
+	}
+}
+
+func TestSpanNestingAndVirtualClock(t *testing.T) {
+	tr := New(DeriveID("nesting"), "evaluate Xeon-E5462", "evaluate")
+	run := tr.Root().Child("run HPL Mf").SetVirtual(120, 980).Attr("samples", 860)
+	run.End()
+	first := tr.Export()
+	time.Sleep(2 * time.Millisecond)
+	run.End() // a second End must not move the span's end
+	tr.Root().End()
+	doc := tr.Export()
+	if len(doc.Spans) != 2 {
+		t.Fatalf("got %d spans, want 2", len(doc.Spans))
+	}
+	root, child := doc.Spans[0], doc.Spans[1]
+	if child.Parent != root.ID || child.Path != "evaluate Xeon-E5462/run HPL Mf" {
+		t.Fatalf("child %+v does not hang off root %s", child, root.ID)
+	}
+	if child.Attrs["sim_t0"] != 120.0 || child.Attrs["sim_t1"] != 980.0 || child.Attrs["samples"] != 860 {
+		t.Errorf("child attrs = %v", child.Attrs)
+	}
+	if child.DurUS != first.Spans[1].DurUS {
+		t.Errorf("double End moved the span: %dµs then %dµs", first.Spans[1].DurUS, child.DurUS)
+	}
+	if child.StartUS < root.StartUS || child.StartUS+child.DurUS > root.StartUS+root.DurUS+1 {
+		t.Errorf("child [%d+%d] outside root [%d+%d]", child.StartUS, child.DurUS, root.StartUS, root.DurUS)
+	}
+}
+
+func TestTraceConcurrent(t *testing.T) {
+	tr := New(DeriveID("concurrent"), "root", "bench")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				sp := tr.Root().Child(fmt.Sprintf("work %d.%d", w, i)).Attr("worker", w)
+				sp.Child("inner").End()
+				sp.End()
+			}
+		}(w)
+	}
+	wg.Wait()
+	doc := tr.Export()
+	if len(doc.Spans) != 1+8*200*2 {
+		t.Fatalf("got %d spans, want %d", len(doc.Spans), 1+8*200*2)
+	}
+	ids := map[string]bool{}
+	for i, sp := range doc.Spans {
+		if ids[sp.ID] {
+			t.Fatalf("span id %s repeats", sp.ID)
+		}
+		ids[sp.ID] = true
+		if i > 0 && sp.Path <= doc.Spans[i-1].Path {
+			t.Fatalf("spans not in path order at %d", i)
+		}
+	}
+}
+
+// TestChromeTraceValid checks the -trace-out export end to end: one
+// complete ("X") event per span carrying its span id, virtual-clock attrs
+// intact, and every lane (tid) properly nested — on one lane an event either
+// contains the next or ends before it starts, up to 1µs of rounding.
+func TestChromeTraceValid(t *testing.T) {
+	tr := New(DeriveID("chrome"), "evaluate", "evaluate")
+	root := tr.Root()
+	root.Child("run idle").SetVirtual(0, 120).End()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			job := root.Child(fmt.Sprintf("sim job %d", i))
+			run := job.Child("run HPL Mf")
+			run.Child("steady").SetVirtual(8, 852).End()
+			time.Sleep(time.Millisecond)
+			run.End()
+			job.End()
+		}(i)
+	}
+	wg.Wait()
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := WriteChromeFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			TS   int64          `json:"ts"`
+			Dur  int64          `json:"dur"`
+			TID  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+		Metadata map[string]any `json:"metadata"`
+	}
+	if err := json.Unmarshal(data, &parsed); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v", err)
+	}
+	doc := tr.Export()
+	if len(parsed.TraceEvents) != len(doc.Spans) {
+		t.Fatalf("got %d events for %d spans", len(parsed.TraceEvents), len(doc.Spans))
+	}
+	if parsed.Metadata["tree_hash"] != doc.TreeHash {
+		t.Errorf("metadata tree_hash %v, want %s", parsed.Metadata["tree_hash"], doc.TreeHash)
+	}
+	type interval struct{ ts, end int64 }
+	lanes := map[int][]interval{}
+	steady := 0
+	for i, e := range parsed.TraceEvents {
+		if e.Ph != "X" || e.Dur < 0 {
+			t.Fatalf("event %d %q: phase %q dur %d", i, e.Name, e.Ph, e.Dur)
+		}
+		if id, _ := e.Args["span"].(string); len(id) != 16 {
+			t.Fatalf("event %d %q lacks its span id", i, e.Name)
+		}
+		if e.Name == "steady" {
+			steady++
+			if e.Args["sim_t0"] != 8.0 || e.Args["sim_t1"] != 852.0 {
+				t.Errorf("steady span lost its virtual clock: %v", e.Args)
+			}
+		}
+		lanes[e.TID] = append(lanes[e.TID], interval{e.TS, e.TS + e.Dur})
+	}
+	if steady != 4 {
+		t.Errorf("steady spans = %d, want 4", steady)
+	}
+	for tid, ivs := range lanes {
+		sort.SliceStable(ivs, func(i, j int) bool {
+			if ivs[i].ts != ivs[j].ts {
+				return ivs[i].ts < ivs[j].ts
+			}
+			return ivs[i].end > ivs[j].end
+		})
+		var open []interval
+		for _, iv := range ivs {
+			for len(open) > 0 && open[len(open)-1].end <= iv.ts {
+				open = open[:len(open)-1]
+			}
+			if len(open) > 0 && iv.end > open[len(open)-1].end+1 {
+				t.Fatalf("lane %d: [%d,%d] overlaps [%d,%d] without nesting", tid, iv.ts, iv.end, open[len(open)-1].ts, open[len(open)-1].end)
+			}
+			open = append(open, iv)
+		}
 	}
 }
