@@ -73,9 +73,14 @@ func AverageMemory(samples []float64) float64 {
 // PlanStates returns the method's workload list for a server (Table III):
 // idle, then EP.C and HPL (half and full memory) at one/half/full cores.
 // For the three paper servers, the process counts are those of the
-// published Tables IV-VI (the Opteron table uses EP at 1/4/8).
+// published Tables IV-VI (the Opteron table uses EP at 1/4/8). Those
+// counts follow the content, not the name: a spec that borrows a paper
+// server's name but differs from it gets the Table III prescription.
 func PlanStates(spec *server.Spec) ([]workload.Model, error) {
-	refs := server.ReferencePoints(spec.Name)
+	var refs []server.ReferencePoint
+	if _, same := BuiltinMatch(spec); same {
+		refs = server.ReferencePoints(spec.Name)
+	}
 	var models []workload.Model
 	models = append(models, workload.Idle(120))
 

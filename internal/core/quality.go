@@ -15,7 +15,6 @@ import (
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
 	"powerbench/internal/ssj"
-	"powerbench/internal/stats"
 	"powerbench/internal/tracectx"
 	"powerbench/internal/workload"
 )
@@ -204,7 +203,7 @@ func evaluateFaultCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 		o.Counter("core_window_samples_total").Add(int64(len(repaired)))
 		o.Counter("core_repair_actions_total").Add(int64(rep.Total()))
 		o.Counter("core_trim_dropped_samples_total").Add(int64(trimmedCount(len(repaired))))
-		watts := stats.TrimmedMean(meter.Watts(repaired), TrimFrac)
+		watts := meter.TrimmedMeanWatts(repaired, TrimFrac)
 		row := Row{
 			Program:     r.Model.Name,
 			GFLOPS:      r.Model.GFLOPS,
@@ -305,7 +304,7 @@ func green500FaultCtx(ctx context.Context, spec *server.Spec, seed float64, opts
 		Start: run.Start, End: run.End, IntervalSec: engine.Meter.IntervalSec,
 	})
 	res.Quality.addRepair(rep)
-	res.AvgWatts = stats.TrimmedMean(meter.Watts(repaired), TrimFrac)
+	res.AvgWatts = meter.TrimmedMeanWatts(repaired, TrimFrac)
 	res.PPW = workload.PPW(m.GFLOPS, res.AvgWatts)
 	if opts.Flight != nil {
 		key := CanonicalHash(spec, seed, HashOpts{Method: "green500", FaultProfile: opts.Fault.Name})

@@ -2,7 +2,8 @@ package meter
 
 import (
 	"math"
-	"sort"
+
+	"powerbench/internal/stats"
 )
 
 // This file is the trace-hardening half of the meter: Validate inspects a
@@ -103,6 +104,10 @@ func (r RepairReport) Total() int {
 // reports what it fixed. The input must be time-ordered (as Merge and
 // Window produce); it is not modified. An empty input repairs to nil.
 //
+// Every pass is linear in the window length (the medians are selections,
+// the resample a merge walk); the sort-based original is kept in test code
+// as the differential oracle.
+//
 // Repair is NOT applied on the clean path: the evaluation pipeline invokes
 // it only when fault injection is active or validation finds artifacts, so
 // pristine runs remain byte-identical to the unhardened pipeline.
@@ -141,17 +146,17 @@ func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 	// Pass 2: clip spikes against the median/MAD band. The trim step drops
 	// the ramp transients positionally, so clipping a ramp sample to the
 	// median never reaches the reported average; what matters is that
-	// mid-trace excursions cannot.
-	watts := make([]float64, len(clean))
+	// mid-trace excursions cannot. One scratch buffer serves both medians:
+	// the watts first, then their absolute deviations.
+	buf := make([]float64, len(clean))
 	for i, s := range clean {
-		watts[i] = s.Watts
+		buf[i] = s.Watts
 	}
-	med := medianOf(watts)
-	dev := make([]float64, len(watts))
-	for i, w := range watts {
-		dev[i] = math.Abs(w - med)
+	med := stats.MedianInPlace(buf)
+	for i, s := range clean {
+		buf[i] = math.Abs(s.Watts - med)
 	}
-	sigma := 1.4826 * medianOf(dev)
+	sigma := 1.4826 * stats.MedianInPlace(buf)
 	if sigma < minSigma {
 		sigma = minSigma
 	}
@@ -176,17 +181,3 @@ func Repair(log []Sample, opts RepairOpts) ([]Sample, RepairReport) {
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// medianOf returns the median of vs without modifying it.
-func medianOf(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), vs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}

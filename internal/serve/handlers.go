@@ -101,16 +101,12 @@ func resolveSpec(name string, spec *server.Spec) (*server.Spec, error) {
 }
 
 // checkBuiltinName rejects a custom spec that reuses a built-in server's
-// name with different content. The method picks the paper's reference plan
-// by name (core.PlanStates), so such a spec would be scored as the built-in
-// while hashing — and caching — as a server of its own. A spec equal to the
-// built-in in every hashed field is the built-in and passes.
+// name with different content. The core would score it as a server of its
+// own (core.BuiltinMatch), so answering it under the borrowed name would
+// mislabel the result; a spec equal to the built-in in every hashed field
+// is the built-in and passes.
 func checkBuiltinName(spec *server.Spec, field string) error {
-	builtin, err := server.ByName(spec.Name)
-	if err != nil {
-		return nil
-	}
-	if core.CanonicalHash(spec, 0, core.HashOpts{}) != core.CanonicalHash(builtin, 0, core.HashOpts{}) {
+	if named, same := core.BuiltinMatch(spec); named && !same {
 		return badField(field, "spec reuses the built-in server name %q with different content; rename it or send the built-in unchanged", spec.Name)
 	}
 	return nil

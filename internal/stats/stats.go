@@ -8,7 +8,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that cannot operate on an empty sample.
@@ -107,13 +106,7 @@ func Median(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2], nil
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2, nil
+	return MedianInPlace(append([]float64(nil), xs...)), nil
 }
 
 // TrimCount returns how many samples Trim(n-sample trace, frac) drops
