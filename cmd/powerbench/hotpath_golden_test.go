@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"powerbench/internal/cache"
-	"powerbench/internal/pmu"
 	"powerbench/internal/rng"
 )
 
@@ -16,10 +15,6 @@ import (
 // revision's hot path) for jobs ∈ {1, 2, 8} and fault profiles
 // {none, light}.
 func TestRunFastPathOutputByteIdentical(t *testing.T) {
-	resetCaches := func() {
-		cache.ResetProfileMemo()
-		pmu.ResetProfileCacheForTest()
-	}
 	for _, profile := range []string{"none", "light"} {
 		t.Run(profile, func(t *testing.T) {
 			args := func(jobs int) []string {
@@ -29,7 +24,7 @@ func TestRunFastPathOutputByteIdentical(t *testing.T) {
 
 			prevProfile := cache.SetFastProfile(false)
 			prevLCG := rng.SetFastLCG(false)
-			resetCaches()
+			cache.ResetProfileMemo()
 			var want, stderr bytes.Buffer
 			rc := run(args(1), &want, &stderr)
 			cache.SetFastProfile(prevProfile)
@@ -39,7 +34,7 @@ func TestRunFastPathOutputByteIdentical(t *testing.T) {
 			}
 
 			for _, jobs := range []int{1, 2, 8} {
-				resetCaches()
+				cache.ResetProfileMemo()
 				var got bytes.Buffer
 				stderr.Reset()
 				if rc := run(args(jobs), &got, &stderr); rc != 0 {

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"slices"
+
 	"powerbench/internal/rng"
 )
 
@@ -79,20 +81,24 @@ type ProfileResult struct {
 // and memoized process-wide; both the fast path and the memo are exact —
 // the result is bit-identical to ProfileReference for every input.
 func Profile(p Pattern, n int, seed float64, cfgs ...Config) (ProfileResult, error) {
-	if !fastProfileEnabled.Load() {
-		return ProfileReference(p, n, seed, cfgs...)
+	compute := ProfileUncached
+	reference := !fastProfileEnabled.Load()
+	if reference {
+		compute = ProfileReference
 	}
-	if key, ok := memoKey(p, n, seed, cfgs); ok {
+	key, memo := memoKey(p, n, seed, cfgs, reference)
+	if memo {
 		if v, ok := profileMemo.Load(key); ok {
 			return v.(ProfileResult), nil
 		}
-		res, err := ProfileUncached(p, n, seed, cfgs...)
-		if err == nil {
-			profileMemo.Store(key, res)
-		}
-		return res, err
 	}
-	return ProfileUncached(p, n, seed, cfgs...)
+	// The profilers keep their configs; computing on a copy lets a caller's
+	// hierarchy stay on its stack when the memo answers.
+	res, err := compute(p, n, seed, slices.Clone(cfgs)...)
+	if memo && err == nil {
+		profileMemo.Store(key, res)
+	}
+	return res, err
 }
 
 // ProfileReference is the original per-access computation of Profile: the

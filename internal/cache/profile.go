@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -47,20 +48,25 @@ var fastProfileEnabled atomic.Bool
 func init() { fastProfileEnabled.Store(true) }
 
 // SetFastProfile enables or disables the batched fast path behind Profile,
-// returning the previous setting. Disabling also bypasses the memo, so a
-// disabled Profile is the unmodified reference computation.
+// returning the previous setting. A disabled Profile runs the unmodified
+// reference computation, memoized apart from the fast path's results, so
+// the reference is computed once per key as the fast path is and the two
+// never serve each other's entries.
 func SetFastProfile(enabled bool) bool {
 	return fastProfileEnabled.Swap(enabled)
 }
 
-// profileKey identifies a memoized Profile computation: the pattern, the
-// stream length and seed, and the full hierarchy geometry.
+// profileKey identifies a memoized Profile computation by value: the
+// pattern, the stream length and seed, the geometry of every level, and
+// which profiler computed it. Level names are left out: they are labels
+// that reach only error messages, and errors are not memoized. Floats are
+// keyed by their bits, so every field is an integer and the map hashes the
+// key as one block of memory.
 type profileKey struct {
-	p      Pattern
-	n      int
-	seed   float64
-	levels int
-	cfgs   [4]Config
+	workingSet, stride       uint64
+	seqFrac, writeFrac, seed uint64
+	n, levels, reference     int
+	geometry                 [4][3]int
 }
 
 // profileMemo caches Profile results process-wide. The same (pattern,
@@ -613,13 +619,27 @@ func ProfileUncached(p Pattern, n int, seed float64, cfgs ...Config) (ProfileRes
 	return res, nil
 }
 
-// memoKey builds the memo key for a Profile call; ok is false when the
-// hierarchy is too deep to key (such profiles run uncached).
-func memoKey(p Pattern, n int, seed float64, cfgs []Config) (profileKey, bool) {
-	if len(cfgs) > len(profileKey{}.cfgs) {
-		return profileKey{}, false
+// memoKey builds the memo key for a Profile call computed by the reference
+// profiler or the fast one; ok is false when the hierarchy is too deep to
+// key (such profiles run uncached).
+func memoKey(p Pattern, n int, seed float64, cfgs []Config, reference bool) (k profileKey, ok bool) {
+	if len(cfgs) > len(k.geometry) {
+		return k, false
 	}
-	k := profileKey{p: p, n: n, seed: seed, levels: len(cfgs)}
-	copy(k.cfgs[:], cfgs)
+	k = profileKey{
+		workingSet: p.WorkingSetBytes,
+		stride:     p.StrideBytes,
+		seqFrac:    math.Float64bits(p.SequentialFrac),
+		writeFrac:  math.Float64bits(p.WriteFrac),
+		seed:       math.Float64bits(seed),
+		n:          n,
+		levels:     len(cfgs),
+	}
+	if reference {
+		k.reference = 1
+	}
+	for i, c := range cfgs {
+		k.geometry[i] = [3]int{c.SizeBytes, c.LineBytes, c.Ways}
+	}
 	return k, true
 }

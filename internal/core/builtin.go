@@ -31,7 +31,7 @@ func BuiltinMatch(spec *server.Spec) (named, same bool) {
 	return true, sameSpec(spec, b)
 }
 
-// sameSpec compares the fields writeSpec renders, in its order. Floats
+// sameSpec compares the fields appendSpec renders, in its order. Floats
 // compare by bits, as their exact renderings in the hash do.
 func sameSpec(a, b *server.Spec) bool {
 	return a.Name == b.Name && a.ProcessorType == b.ProcessorType &&

@@ -3,8 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
 	"strconv"
 
 	"powerbench/internal/cache"
@@ -23,6 +21,10 @@ type HashOpts struct {
 	FaultProfile string
 }
 
+// hashBufSize covers the rendering of a Table I server with room to spare,
+// so a typical key is built without growing the buffer.
+const hashBufSize = 1024
+
 // CanonicalHash returns a deterministic, content-addressed key for one
 // (spec, seed, opts) evaluation request: the SHA-256 of a canonical
 // rendering that writes every Spec field in declared order with exact
@@ -31,82 +33,99 @@ type HashOpts struct {
 // field order (or whitespace) produce the same key — the property the
 // serve layer's result cache and request dedup rely on.
 func CanonicalHash(spec *server.Spec, seed float64, opts HashOpts) string {
-	h := sha256.New()
-	writeString(h, "powerbench-canonical-v1")
-	writeString(h, opts.Method)
+	var buf [hashBufSize]byte
+	b := appendString(buf[:0], "powerbench-canonical-v1")
+	b = appendString(b, opts.Method)
 	profile := opts.FaultProfile
 	if profile == "" {
 		profile = "none"
 	}
-	writeString(h, profile)
-	writeFloat(h, seed)
-	writeSpec(h, spec)
-	return hex.EncodeToString(h.Sum(nil))
+	b = appendString(b, profile)
+	b = appendFloat(b, seed)
+	b = appendSpec(b, spec)
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
-// writeString writes a length-prefixed string so that adjacent fields can
-// never alias ("ab"+"c" vs "a"+"bc").
-func writeString(w io.Writer, s string) {
-	fmt.Fprintf(w, "%d:%s;", len(s), s)
+// appendString appends the frame "len:s;". The length prefix keeps adjacent
+// fields from aliasing ("ab"+"c" vs "a"+"bc").
+func appendString(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	b = append(b, s...)
+	return append(b, ';')
 }
 
-// writeFloat renders a float with strconv's exact shortest round-trip form,
-// so every distinct float64 bit pattern (NaN aside) hashes distinctly and
-// equal values always hash equally.
-func writeFloat(w io.Writer, v float64) {
-	writeString(w, strconv.FormatFloat(v, 'g', -1, 64))
+// appendValue appends the frame "len:v;" for an already rendered value.
+func appendValue(b, v []byte) []byte {
+	b = strconv.AppendInt(b, int64(len(v)), 10)
+	b = append(b, ':')
+	b = append(b, v...)
+	return append(b, ';')
 }
 
-func writeInt(w io.Writer, v int64) {
-	writeString(w, strconv.FormatInt(v, 10))
+// appendFloat renders a float with strconv's exact shortest round-trip
+// form, so every distinct float64 bit pattern (NaN aside) hashes distinctly
+// and equal values always hash equally.
+func appendFloat(b []byte, v float64) []byte {
+	var tmp [32]byte
+	return appendValue(b, strconv.AppendFloat(tmp[:0], v, 'g', -1, 64))
 }
 
-func writeCache(w io.Writer, c cache.Config) {
-	writeString(w, c.Name)
-	writeInt(w, int64(c.SizeBytes))
-	writeInt(w, int64(c.LineBytes))
-	writeInt(w, int64(c.Ways))
+func appendInt(b []byte, v int64) []byte {
+	var tmp [24]byte
+	return appendValue(b, strconv.AppendInt(tmp[:0], v, 10))
 }
 
-func writeCurve(w io.Writer, c server.AnchorCurve) {
-	writeInt(w, int64(len(c)))
+func appendCache(b []byte, c cache.Config) []byte {
+	b = appendString(b, c.Name)
+	b = appendInt(b, int64(c.SizeBytes))
+	b = appendInt(b, int64(c.LineBytes))
+	return appendInt(b, int64(c.Ways))
+}
+
+func appendCurve(b []byte, c server.AnchorCurve) []byte {
+	b = appendInt(b, int64(len(c)))
 	for _, p := range c {
-		writeFloat(w, p.N)
-		writeFloat(w, p.Value)
+		b = appendFloat(b, p.N)
+		b = appendFloat(b, p.Value)
 	}
+	return b
 }
 
-// writeSpec renders every Spec field in declared order. The descriptive
+// appendSpec renders every Spec field in declared order. The descriptive
 // Table I strings are included too: they do not perturb the simulation,
 // but a cache key must cover everything a response could echo.
-func writeSpec(w io.Writer, s *server.Spec) {
-	writeString(w, s.Name)
-	writeString(w, s.ProcessorType)
-	writeInt(w, int64(s.Cores))
-	writeInt(w, int64(s.Chips))
-	writeFloat(w, s.FreqMHz)
-	writeFloat(w, s.GFLOPSPerCore)
-	writeInt(w, int64(s.MemoryBytes))
-	writeFloat(w, s.MemBWBytesPerSec)
-	writeCache(w, s.L1D)
-	writeCache(w, s.L2)
-	writeCache(w, s.L3)
-	writeFloat(w, s.IdleWatts)
-	writeFloat(w, s.Coef.Active)
-	writeFloat(w, s.Coef.PerCore)
-	writeFloat(w, s.Coef.Compute)
-	writeFloat(w, s.Coef.FPCompute)
-	writeFloat(w, s.Coef.UncoreBW)
-	writeFloat(w, s.Coef.MemFoot)
-	writeFloat(w, s.Coef.CommPerCore)
-	writeCurve(w, s.HPLFull)
-	writeCurve(w, s.HPLHalf)
-	writeCurve(w, s.EP)
-	writeFloat(w, s.SPECpowerScore)
-	writeString(w, s.PrimaryCache)
-	writeString(w, s.SecondaryCache)
-	writeString(w, s.TertiaryCache)
-	writeString(w, s.MemoryDetails)
-	writeString(w, s.PowerSupply)
-	writeString(w, s.Disk)
+func appendSpec(b []byte, s *server.Spec) []byte {
+	b = appendString(b, s.Name)
+	b = appendString(b, s.ProcessorType)
+	b = appendInt(b, int64(s.Cores))
+	b = appendInt(b, int64(s.Chips))
+	b = appendFloat(b, s.FreqMHz)
+	b = appendFloat(b, s.GFLOPSPerCore)
+	b = appendInt(b, int64(s.MemoryBytes))
+	b = appendFloat(b, s.MemBWBytesPerSec)
+	b = appendCache(b, s.L1D)
+	b = appendCache(b, s.L2)
+	b = appendCache(b, s.L3)
+	b = appendFloat(b, s.IdleWatts)
+	b = appendFloat(b, s.Coef.Active)
+	b = appendFloat(b, s.Coef.PerCore)
+	b = appendFloat(b, s.Coef.Compute)
+	b = appendFloat(b, s.Coef.FPCompute)
+	b = appendFloat(b, s.Coef.UncoreBW)
+	b = appendFloat(b, s.Coef.MemFoot)
+	b = appendFloat(b, s.Coef.CommPerCore)
+	b = appendCurve(b, s.HPLFull)
+	b = appendCurve(b, s.HPLHalf)
+	b = appendCurve(b, s.EP)
+	b = appendFloat(b, s.SPECpowerScore)
+	b = appendString(b, s.PrimaryCache)
+	b = appendString(b, s.SecondaryCache)
+	b = appendString(b, s.TertiaryCache)
+	b = appendString(b, s.MemoryDetails)
+	b = appendString(b, s.PowerSupply)
+	return appendString(b, s.Disk)
 }

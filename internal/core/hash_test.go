@@ -2,6 +2,9 @@ package core
 
 import (
 	"encoding/json"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"powerbench/internal/server"
@@ -81,5 +84,79 @@ func TestCanonicalHashStability(t *testing.T) {
 		if got := CanonicalHash(spec, 7, HashOpts{Method: "evaluate"}); got != a {
 			t.Fatalf("hash not stable across calls: %s vs %s", got, a)
 		}
+	}
+}
+
+// The append-built hash equals the fmt-based reference for every built-in,
+// every built-in look-alike that differs in one field, and a sparse custom
+// spec, across exotic values.
+func TestCanonicalHashMatchesReference(t *testing.T) {
+	strs := []string{"", "Xeon-E5462", "a:b;c", "多字节", "\xff"}
+	floats := []float64{0, math.Copysign(0, -1), 1, -2.5, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64, 2800, 999999, -1e6}
+	ints := []int64{0, -1, 4, math.MinInt64, math.MaxInt64}
+	n := 0
+	for base := uint8(0); base < 4; base++ {
+		for field := 0; field <= len(specFields); field++ {
+			for k := 0; k < len(floats); k++ {
+				spec := fuzzBase(base)
+				if field < len(specFields) {
+					specFields[field](spec, strs[k%len(strs)], floats[k], ints[k%len(ints)], 7*k)
+				}
+				opts := HashOpts{Method: "evaluate", FaultProfile: strs[(k+1)%len(strs)]}
+				seed := floats[(k+3)%len(floats)]
+				if got, want := CanonicalHash(spec, seed, opts), referenceCanonicalHash(spec, seed, opts); got != want {
+					t.Fatalf("base %d field %d value %d: CanonicalHash %s, reference %s", base, field, k, got, want)
+				}
+				n++
+			}
+		}
+	}
+	t.Logf("%d specs agree with the reference", n)
+}
+
+// TestCanonicalHashAllocs gates the hash at two allocations for a built-in
+// and for a custom spec, both rendered into a stack buffer: the hex string,
+// and at most one more.
+func TestCanonicalHashAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime adds allocations of its own")
+	}
+	builtin := server.Xeon4870()
+	custom := server.Xeon4870()
+	custom.Name = "custom-4870"
+	opts := HashOpts{Method: "evaluate"}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		name string
+		spec *server.Spec
+	}{{"builtin", builtin}, {"custom", custom}} {
+		allocs := testing.AllocsPerRun(100, func() { CanonicalHash(c.spec, 1, opts) })
+		if allocs > 2 {
+			t.Errorf("%s: CanonicalHash made %.0f allocations, want ≤ 2", c.name, allocs)
+		}
+	}
+}
+
+// hashSink keeps the benchmarked hashes live.
+var hashSink string
+
+// BenchmarkCanonicalHash times the append-built hash against the fmt-based
+// reference on a custom spec; CI gates the ratio.
+func BenchmarkCanonicalHash(b *testing.B) {
+	spec := server.Opteron8347()
+	spec.Name = "custom-8347"
+	opts := HashOpts{Method: "evaluate"}
+	for _, c := range []struct {
+		name string
+		hash func(*server.Spec, float64, HashOpts) string
+	}{{"fast", CanonicalHash}, {"reference", referenceCanonicalHash}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hashSink = c.hash(spec, 1, opts)
+			}
+		})
 	}
 }

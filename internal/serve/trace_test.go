@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"powerbench/internal/fleet"
+	"powerbench/internal/obs"
 	"powerbench/internal/tracectx"
 )
 
@@ -180,6 +182,10 @@ func TestTraceStoreBounds(t *testing.T) {
 	if ts.Bytes() != 10 {
 		t.Fatalf("bytes = %d, want 10", ts.Bytes())
 	}
+	// Covers answers whether a Put of that many spans would change nothing.
+	if !ts.Covers("a", 9) || !ts.Covers("a", 1) || ts.Covers("a", 10) || ts.Covers("zz", 1) {
+		t.Fatalf("Covers disagrees with Put's keep-the-richer rule")
+	}
 	// Third id evicts the LRU entry (b: a was touched by the Gets above).
 	if put("c", "cc", 1) != 1 {
 		t.Fatalf("expected one eviction")
@@ -246,5 +252,48 @@ func TestTraceOriginPropagation(t *testing.T) {
 	}
 	if doc.Origin != upstream {
 		t.Errorf("doc origin %q, want %q", doc.Origin, upstream)
+	}
+}
+
+// A kept cache hit under a stored miss trace is counted and refreshes the
+// entry's LRU position, exactly as Put would, without replacing the miss's
+// document.
+func TestKeptHitKeepsMissTrace(t *testing.T) {
+	o := obs.New()
+	s := newTestServer(t, Config{Obs: o, TraceEntries: 2, TraceSampleRate: 1})
+	s.evalFn = stubEval
+	body := func(seed int) string { return `{"server":"Xeon-E5462","seed":` + itoa(seed) + `}` }
+	traceOf := func(seed int) string {
+		rec := do(s, "POST", "/v1/evaluate", body(seed))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d", seed, rec.Code)
+		}
+		return rec.Header().Get(traceHeader)
+	}
+	a := traceOf(1)
+	missDoc, ok := s.traces.Get(a)
+	if !ok {
+		t.Fatal("miss trace not stored")
+	}
+	b := traceOf(2)
+	bytesBefore := s.traces.Bytes()
+	if traceOf(1) != a {
+		t.Fatal("hit advertised another trace id")
+	}
+	if s.traces.Bytes() != bytesBefore {
+		t.Errorf("trace bytes %d after the hit, want %d", s.traces.Bytes(), bytesBefore)
+	}
+	if got := o.Counter("serve_traces_stored_total", obs.L("reason", "sampled")).Value(); got != 1 {
+		t.Errorf("sampled stores = %d, want 1", got)
+	}
+	// The hit refreshed a, the older entry, so a third trace evicts b.
+	traceOf(3)
+	if _, ok := s.traces.Get(b); ok {
+		t.Error("b survived eviction; the hit did not refresh a")
+	}
+	if got, ok := s.traces.Get(a); !ok {
+		t.Error("a was evicted although the hit refreshed it")
+	} else if !bytes.Equal(got, missDoc) {
+		t.Error("the hit replaced the miss's trace document")
 	}
 }

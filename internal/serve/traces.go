@@ -120,6 +120,21 @@ func (t *traceStore) Put(id string, doc []byte, meta fleet.TraceSummary) int {
 	return 1
 }
 
+// Covers reports whether the store holds a document for id with at least
+// spans spans, marking it most recently used if so. Put would keep that
+// document over one of spans spans, so a caller told true can skip
+// exporting its own.
+func (t *traceStore) Covers(id string, spans int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	el, ok := t.items[id]
+	if !ok || el.Value.(*traceEntry).meta.Spans < spans {
+		return false
+	}
+	t.order.MoveToFront(el)
+	return true
+}
+
 // Get returns the stored document for id and marks it most recently used.
 func (t *traceStore) Get(id string) ([]byte, bool) {
 	t.mu.Lock()
@@ -159,13 +174,14 @@ func (t *traceStore) Bytes() int64 {
 }
 
 // newRequestTrace opens the trace for one compute request: id derived from
-// the canonical key, root span named after the route, and the client's
-// traceparent (if one parses) recorded as origin metadata. The internal
-// trace id stays canonical even under an incoming parent — two peers
-// computing the same key converge on the same trace — but the origin field
-// preserves the upstream hop for cross-linking.
-func newRequestTrace(req *http.Request, route, key string) *tracectx.Trace {
-	tr := tracectx.New(tracectx.DeriveID(key), route, "serve")
+// the canonical key (the caller's tracectx.DeriveID), root span named after
+// the route, and the client's traceparent (if one parses) recorded as
+// origin metadata. The internal trace id stays canonical even under an
+// incoming parent — two peers computing the same key converge on the same
+// trace — but the origin field preserves the upstream hop for
+// cross-linking.
+func newRequestTrace(req *http.Request, route string, id tracectx.ID) *tracectx.Trace {
+	tr := tracectx.New(id, route, "serve")
 	if h := req.Header.Get(tracectx.TraceparentHeader); h != "" {
 		if _, err := tracectx.Parse(h); err == nil {
 			tr.SetOrigin(h)
@@ -176,7 +192,10 @@ func newRequestTrace(req *http.Request, route, key string) *tracectx.Trace {
 
 // storeTrace exports a settled request's trace, applies the tail-sampling
 // policy, and publishes the kept document. Drops are counted, keeps are
-// labeled by rule, so the sampler's behavior is observable.
+// labeled by rule, so the sampler's behavior is observable. A kept trace
+// the store already covers (typically a cache hit's two spans under the
+// miss's full trace) is only counted and refreshed: Put would discard its
+// document, so it is never exported.
 func (s *Server) storeTrace(tr *tracectx.Trace, route, key string, status int, faulted bool, how string, dur time.Duration) {
 	if tr == nil {
 		return
@@ -184,6 +203,11 @@ func (s *Server) storeTrace(tr *tracectx.Trace, route, key string, status int, f
 	reason := s.sampleReason(status, faulted, how, dur, key)
 	if reason == "" {
 		s.obs.Counter("serve_traces_dropped_total").Inc()
+		return
+	}
+	stored := s.obs.Counter("serve_traces_stored_total", obs.L("reason", reason))
+	if s.traces.Covers(tr.ID().String(), tr.SpanCount()) {
+		stored.Inc()
 		return
 	}
 	doc := tr.Export()
@@ -201,7 +225,7 @@ func (s *Server) storeTrace(tr *tracectx.Trace, route, key string, status int, f
 		DurationUS: doc.DurationUS, Flight: doc.Flight, Spans: len(doc.Spans),
 		Shard: s.cluster.Self(),
 	})
-	s.obs.Counter("serve_traces_stored_total", obs.L("reason", reason)).Inc()
+	stored.Inc()
 	s.obs.Counter("serve_trace_evictions_total").Add(int64(evicted))
 	s.obs.Gauge("serve_trace_entries").Set(float64(s.traces.Len()))
 	s.obs.Gauge("serve_trace_bytes").Set(float64(s.traces.Bytes()))

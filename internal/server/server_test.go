@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -280,4 +281,55 @@ func TestStarvation(t *testing.T) {
 	if st := s.Starvation(l); st != 1 {
 		t.Errorf("1-core HPL should not starve, got %v", st)
 	}
+}
+
+// TestBuiltinsFresh checks the memoized built-ins: every constructor hands
+// out a copy that callers may mutate freely (curves and coefficients
+// included), and the memoized calibration equals a fresh one bit for bit.
+func TestBuiltinsFresh(t *testing.T) {
+	fresh := map[string]*Spec{
+		"Xeon-E5462":   newXeonE5462(),
+		"Opteron-8347": newOpteron8347(),
+		"Xeon-4870":    newXeon4870(),
+	}
+	// %#v prints every float in its shortest exact form, so equal renderings
+	// mean equal bits.
+	render := func(s *Spec) string { return fmt.Sprintf("%#v", *s) }
+	for name, want := range fresh {
+		got, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if render(got) != render(want) {
+			t.Errorf("%s: memoized spec differs from a fresh calibration:\n got %#v\nwant %#v", name, *got, *want)
+		}
+		got.HPLFull[0].Value = -1
+		got.HPLHalf = append(got.HPLHalf[:1], AnchorPoint{N: 99, Value: 99})
+		got.EP[len(got.EP)-1].N = 1e9
+		got.Coef.Active, got.Coef.UncoreBW = 1e6, -1
+		got.IdleWatts = 0
+		for _, again := range []*Spec{mustByName(t, name), findByName(All(), name)} {
+			if render(again) != render(want) {
+				t.Errorf("%s: a caller's mutation leaked into a later construction:\n got %#v", name, *again)
+			}
+		}
+	}
+}
+
+func mustByName(t *testing.T, name string) *Spec {
+	t.Helper()
+	s, err := ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func findByName(specs []*Spec, name string) *Spec {
+	for _, s := range specs {
+		if s.Name == name {
+			return s
+		}
+	}
+	return nil
 }

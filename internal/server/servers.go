@@ -2,13 +2,16 @@ package server
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"powerbench/internal/cache"
 )
 
 // The three servers of the paper's Table I. Each constructor returns a
 // fresh, calibrated Spec; mutations by the caller do not affect later
-// constructions.
+// constructions. The calibration runs once per process: the constructors
+// hand out deep copies of the calibrated originals.
 
 // Reference measurement tables transcribed from the paper.
 var (
@@ -84,9 +87,9 @@ func mustCalibrate(s *Spec, refs []ReferencePoint) *Spec {
 	return s
 }
 
-// XeonE5462 returns the calibrated single-chip quad-core Xeon E5462 server
+// newXeonE5462 calibrates the single-chip quad-core Xeon E5462 server
 // (§II-A): 4 × 11.2 GFLOPS cores at 2.8 GHz, 8 GB DDR2 on a front-side bus.
-func XeonE5462() *Spec {
+func newXeonE5462() *Spec {
 	s := &Spec{
 		Name:             "Xeon-E5462",
 		ProcessorType:    "Xeon E5462",
@@ -116,9 +119,9 @@ func XeonE5462() *Spec {
 	return mustCalibrate(s, refE5462)
 }
 
-// Opteron8347 returns the calibrated four-chip, 16-core Opteron 8347 server
+// newOpteron8347 calibrates the four-chip, 16-core Opteron 8347 server
 // (§II-B): 16 × 7.6 GFLOPS cores at 1.9 GHz, 32 GB DDR2, NUMA.
-func Opteron8347() *Spec {
+func newOpteron8347() *Spec {
 	s := &Spec{
 		Name:             "Opteron-8347",
 		ProcessorType:    "Opteron 8347",
@@ -149,9 +152,9 @@ func Opteron8347() *Spec {
 	return mustCalibrate(s, refOpteron)
 }
 
-// Xeon4870 returns the calibrated four-chip, 40-core Xeon E7-4870 server
+// newXeon4870 calibrates the four-chip, 40-core Xeon E7-4870 server
 // (§II-C): 40 × 9.6 GFLOPS cores at 2.4 GHz, 128 GB DDR2.
-func Xeon4870() *Spec {
+func newXeon4870() *Spec {
 	s := &Spec{
 		Name:             "Xeon-4870",
 		ProcessorType:    "Xeon E7-4870",
@@ -181,6 +184,34 @@ func Xeon4870() *Spec {
 	}
 	return mustCalibrate(s, ref4870)
 }
+
+// calibrated holds the three servers, in the paper's order, calibrated on
+// first use. The originals never leave this file; callers get copies.
+var calibrated = sync.OnceValue(func() [3]*Spec {
+	return [3]*Spec{newXeonE5462(), newOpteron8347(), newXeon4870()}
+})
+
+// clone returns a deep copy of s: the struct and its anchor curves, the
+// only fields that share memory.
+func (s *Spec) clone() *Spec {
+	c := *s
+	c.HPLFull = slices.Clone(s.HPLFull)
+	c.HPLHalf = slices.Clone(s.HPLHalf)
+	c.EP = slices.Clone(s.EP)
+	return &c
+}
+
+// XeonE5462 returns the calibrated single-chip quad-core Xeon E5462 server
+// (§II-A).
+func XeonE5462() *Spec { return calibrated()[0].clone() }
+
+// Opteron8347 returns the calibrated four-chip, 16-core Opteron 8347 server
+// (§II-B).
+func Opteron8347() *Spec { return calibrated()[1].clone() }
+
+// Xeon4870 returns the calibrated four-chip, 40-core Xeon E7-4870 server
+// (§II-C).
+func Xeon4870() *Spec { return calibrated()[2].clone() }
 
 // All returns the three paper servers, calibrated, in the paper's order.
 func All() []*Spec {

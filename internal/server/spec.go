@@ -91,11 +91,10 @@ func (s *Spec) Validate() error {
 // CacheHierarchy returns the per-core cache configuration list (L1, L2 and,
 // when present, L3) for PMU profiling.
 func (s *Spec) CacheHierarchy() []cache.Config {
-	cfgs := []cache.Config{s.L1D, s.L2}
 	if s.L3.SizeBytes != 0 {
-		cfgs = append(cfgs, s.L3)
+		return []cache.Config{s.L1D, s.L2, s.L3}
 	}
-	return cfgs
+	return []cache.Config{s.L1D, s.L2}
 }
 
 // AnchorCurve interpolates a positive quantity between measured anchor

@@ -122,6 +122,17 @@ func (t *Trace) ID() ID {
 	return t.id
 }
 
+// SpanCount returns how many spans the trace holds (the length of its
+// exported span list); a nil trace holds none.
+func (t *Trace) SpanCount() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.spans)
+}
+
 // Root returns the root span; a nil trace returns a nil (no-op) span.
 func (t *Trace) Root() *Span {
 	if t == nil {
