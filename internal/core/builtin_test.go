@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -25,7 +26,7 @@ func TestPlanStatesContentKeyed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Evaluate(renamed, 1)
+	want, err := EvaluateCtx(context.Background(), renamed, 1, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestPlanStatesContentKeyed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev, err := Evaluate(tc.spec, 1)
+			ev, err := EvaluateCtx(context.Background(), tc.spec, 1, EvalOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +162,7 @@ func TestSpecFieldSensitivity(t *testing.T) {
 		s.Name = "sensitivity-probe"
 		return s
 	}
-	base, err := Evaluate(custom(), 1)
+	base, err := EvaluateCtx(context.Background(), custom(), 1, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestSpecFieldSensitivity(t *testing.T) {
 			if err := spec.Validate(); err != nil {
 				t.Fatalf("perturbed spec invalid: %v", err)
 			}
-			ev, err := Evaluate(spec, 1)
+			ev, err := EvaluateCtx(context.Background(), spec, 1, EvalOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -16,21 +17,21 @@ import (
 const chaosTolerance = 0.02
 
 // TestEvaluateOptsCleanEquivalence: with an inactive fault profile the
-// hardened entry point must reproduce the clean pipeline exactly — same
+// one evaluation body must reproduce the clean pipeline exactly — same
 // structs, same rendered bytes.
 func TestEvaluateOptsCleanEquivalence(t *testing.T) {
 	spec := server.XeonE5462()
-	clean, err := EvaluateWithPool(spec, 5, nil, nil)
+	clean, err := EvaluateCtx(context.Background(), spec, 5, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, opts := range []EvalOptions{{}, {Fault: &fault.Profile{}}, {Pool: sched.New(4, nil)}} {
-		got, err := EvaluateOpts(spec, 5, opts)
+		got, err := EvaluateCtx(context.Background(), spec, 5, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(clean, got) {
-			t.Fatalf("EvaluateOpts(%+v) differs from the clean pipeline", opts)
+			t.Fatalf("EvaluateCtx(%+v) differs from the clean pipeline", opts)
 		}
 		if a, b := EvaluationTable(clean, "T").String(), EvaluationTable(got, "T").String(); a != b {
 			t.Fatalf("rendered table differs:\n%s\n---\n%s", a, b)
@@ -46,12 +47,12 @@ func TestChaosEvaluateTolerance(t *testing.T) {
 	for _, spec := range server.All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			clean, err := EvaluateWithPool(spec, 11, nil, nil)
+			clean, err := EvaluateCtx(context.Background(), spec, 11, EvalOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			led := fault.NewLedger()
-			chaos, err := EvaluateOpts(spec, 11, EvalOptions{Fault: fault.Heavy(), Ledger: led})
+			chaos, err := EvaluateCtx(context.Background(), spec, 11, EvalOptions{Fault: fault.Heavy(), Ledger: led})
 			if err != nil {
 				t.Fatalf("chaos evaluation did not complete: %v", err)
 			}
@@ -101,7 +102,7 @@ func TestChaosAccounting(t *testing.T) {
 	}
 	spec := server.XeonE5462()
 	led := fault.NewLedger()
-	ev, err := EvaluateOpts(spec, 23, EvalOptions{Fault: prof, Ledger: led})
+	ev, err := EvaluateCtx(context.Background(), spec, 23, EvalOptions{Fault: prof, Ledger: led})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestChaosDeterminismAcrossJobs(t *testing.T) {
 	spec := server.Xeon4870()
 	run := func(jobs int) (*Evaluation, *fault.Ledger) {
 		led := fault.NewLedger()
-		ev, err := EvaluateOpts(spec, 31, EvalOptions{
+		ev, err := EvaluateCtx(context.Background(), spec, 31, EvalOptions{
 			Fault: fault.Heavy(), Ledger: led, Pool: sched.New(jobs, nil),
 		})
 		if err != nil {
@@ -170,13 +171,13 @@ func TestChaosDeterminismAcrossJobs(t *testing.T) {
 func TestChaosRunFailureDegradation(t *testing.T) {
 	spec := server.XeonE5462()
 	always := &fault.Profile{Name: "down", RunFail: 1}
-	if _, err := EvaluateOpts(spec, 3, EvalOptions{Fault: always}); err == nil {
+	if _, err := EvaluateCtx(context.Background(), spec, 3, EvalOptions{Fault: always}); err == nil {
 		t.Fatal("all states failing should surface an error")
 	}
 
 	led := fault.NewLedger()
 	flaky := &fault.Profile{Name: "flaky", RunFail: 0.3}
-	ev, err := EvaluateOpts(spec, 3, EvalOptions{Fault: flaky, Ledger: led})
+	ev, err := EvaluateCtx(context.Background(), spec, 3, EvalOptions{Fault: flaky, Ledger: led})
 	if err != nil {
 		t.Fatalf("flaky profile should degrade gracefully: %v", err)
 	}
@@ -193,19 +194,20 @@ func TestChaosRunFailureDegradation(t *testing.T) {
 // the profile is inactive.
 func TestGreen500AndCompareOpts(t *testing.T) {
 	spec := server.XeonE5462()
-	cleanG, err := Green500WithPool(spec, 7, nil, nil)
+	cleanG, err := Green500Ctx(context.Background(), spec, 7, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotG, err := Green500Opts(spec, 7, EvalOptions{})
+	inactive := &fault.Profile{Name: "none"}
+	gotG, err := Green500Ctx(context.Background(), spec, 7, EvalOptions{Fault: inactive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cleanG, gotG) {
-		t.Error("Green500Opts with inactive profile differs from clean path")
+		t.Error("Green500Ctx with inactive profile differs from clean path")
 	}
 
-	chaosG, err := Green500Opts(spec, 7, EvalOptions{Fault: fault.Heavy()})
+	chaosG, err := Green500Ctx(context.Background(), spec, 7, EvalOptions{Fault: fault.Heavy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,18 +216,18 @@ func TestGreen500AndCompareOpts(t *testing.T) {
 	}
 
 	specs := server.All()[:2]
-	cleanC, err := CompareWithPool(specs, 13, nil, nil)
+	cleanC, err := CompareCtx(context.Background(), specs, 13, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotC, err := CompareOpts(specs, 13, EvalOptions{})
+	gotC, err := CompareCtx(context.Background(), specs, 13, EvalOptions{Fault: inactive})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cleanC, gotC) {
-		t.Error("CompareOpts with inactive profile differs from clean path")
+		t.Error("CompareCtx with inactive profile differs from clean path")
 	}
-	chaosC, err := CompareOpts(specs, 13, EvalOptions{Fault: fault.Heavy()})
+	chaosC, err := CompareCtx(context.Background(), specs, 13, EvalOptions{Fault: fault.Heavy()})
 	if err != nil {
 		t.Fatal(err)
 	}

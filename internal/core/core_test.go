@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,7 +62,7 @@ func TestEvaluateReproducesTables(t *testing.T) {
 		"Xeon-E5462": 0.0639, "Opteron-8347": 0.0251, "Xeon-4870": 0.0975,
 	}
 	for i, spec := range server.All() {
-		ev, err := Evaluate(spec, float64(i)+1)
+		ev, err := EvaluateCtx(context.Background(), spec, float64(i)+1, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +119,7 @@ func TestGreen500ReproducesPaper(t *testing.T) {
 		"Xeon-E5462": 0.158, "Opteron-8347": 0.0618, "Xeon-4870": 0.307,
 	}
 	for i, spec := range server.All() {
-		g, err := Green500(spec, float64(i)+10)
+		g, err := Green500Ctx(context.Background(), spec, float64(i)+10, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +137,7 @@ func TestOrderings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full three-server comparison")
 	}
-	c, err := Compare(server.All(), 42)
+	c, err := CompareCtx(context.Background(), server.All(), 42, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,12 +184,21 @@ func TestAveragePowerPipeline(t *testing.T) {
 	}
 }
 
+// TestRanking: descending by score, and tied servers keep their input
+// order wherever the winner sits.
 func TestRanking(t *testing.T) {
 	names := []string{"a", "b", "c"}
-	scores := []float64{1, 3, 2}
-	got := Ranking(names, scores)
-	if got[0] != "b" || got[1] != "c" || got[2] != "a" {
-		t.Errorf("Ranking = %v", got)
+	for _, tc := range []struct {
+		scores []float64
+		want   []string
+	}{
+		{[]float64{1, 3, 2}, []string{"b", "c", "a"}},
+		{[]float64{1, 1, 2}, []string{"c", "a", "b"}},
+		{[]float64{2, 1, 1}, []string{"a", "b", "c"}},
+	} {
+		if got := Ranking(names, tc.scores); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Ranking(%v) = %v, want %v", tc.scores, got, tc.want)
+		}
 	}
 }
 
@@ -475,7 +486,7 @@ func TestTablesRender(t *testing.T) {
 	if len(t3.Rows) != 3 {
 		t.Errorf("Table III rows = %d", len(t3.Rows))
 	}
-	ev, err := Evaluate(server.XeonE5462(), 2)
+	ev, err := EvaluateCtx(context.Background(), server.XeonE5462(), 2, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +637,7 @@ func TestParallelEvaluations(t *testing.T) {
 				done <- err
 				return
 			}
-			_, err = Evaluate(spec, seed)
+			_, err = EvaluateCtx(context.Background(), spec, seed, EvalOptions{})
 			done <- err
 		}(float64(i), name)
 	}

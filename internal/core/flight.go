@@ -1,6 +1,7 @@
 package core
 
 import (
+	"powerbench/internal/fault"
 	"powerbench/internal/flight"
 	"powerbench/internal/meter"
 	"powerbench/internal/obs"
@@ -101,4 +102,26 @@ func (o EvalOptions) profileName() string {
 		return o.Fault.Name
 	}
 	return "none"
+}
+
+// record appends one run's flight record to o.Flight. On the clean path the
+// quality is zero and the ledger nil, so the record carries no faults,
+// quality counters or notes.
+func (o EvalOptions) record(method string, spec *server.Spec, seed float64, key string, score float64,
+	phases []flight.Phase, energy flight.Energy, states int, q *Quality, faults *fault.Ledger) {
+	o.Flight.Add(flight.Record{
+		Method: method, Server: spec.Name, Seed: seed,
+		Key:          key,
+		FaultProfile: o.profileName(),
+		Score:        score,
+		Phases:       phases,
+		Energy:       energy,
+		Sched: flight.SchedStats{
+			States: states, Completed: len(phases),
+			Retried: q.RunsRetried, Failed: q.RunsFailed,
+		},
+		Faults:  faults.Map(),
+		Quality: q.flightStats(),
+		Notes:   q.Notes,
+	})
 }

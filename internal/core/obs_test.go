@@ -62,11 +62,11 @@ func TestEvaluateWithObsSpans(t *testing.T) {
 
 // TestEvaluateWithObsMatchesPlain: telemetry must not perturb the result.
 func TestEvaluateWithObsMatchesPlain(t *testing.T) {
-	plain, err := Evaluate(server.XeonE5462(), 1)
+	plain, err := EvaluateCtx(context.Background(), server.XeonE5462(), 1, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	instrumented, err := EvaluateWithObs(server.XeonE5462(), 1, obs.New())
+	instrumented, err := EvaluateCtx(context.Background(), server.XeonE5462(), 1, EvalOptions{Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestEvaluateWithObsMatchesPlain(t *testing.T) {
 // exposition format with the pipeline's metric families present.
 func TestEvaluatePrometheusExport(t *testing.T) {
 	o := obs.New()
-	if _, err := EvaluateWithObs(server.XeonE5462(), 1, o); err != nil {
+	if _, err := EvaluateCtx(context.Background(), server.XeonE5462(), 1, EvalOptions{Obs: o}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

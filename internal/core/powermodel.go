@@ -59,7 +59,7 @@ func collectTrainingRuns(ctx context.Context, engine *sim.Engine, models []workl
 		ys []float64
 	}
 	runs := make([]observations, len(models))
-	err := p.RunTracedCtx(ctx, "train", len(models), func(jctx context.Context, i int) error {
+	err := p.Run(ctx, "train", len(models), func(jctx context.Context, i int) error {
 		m := models[i]
 		eng := engine.Fork("train", strconv.Itoa(i), m.Name)
 		x, y, err := collectRun(jctx, eng, m)

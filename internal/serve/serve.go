@@ -25,7 +25,7 @@
 //     deadline (service default, tightened per-request by timeout_ms); a
 //     deadline that expires answers 504 and, when the last waiter gives
 //     up, cancels the flight so the scheduler stops dispatching its
-//     pending simulation runs (sched.RunRetryAllCtx).
+//     pending simulation runs (sched.Pool.RunRetry).
 //
 //   - Graceful shutdown. Close/Shutdown drain in-flight flights before
 //     returning, so a SIGTERM never truncates a computation mid-write.

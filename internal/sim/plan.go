@@ -32,26 +32,13 @@ func Timeline(models []workload.Model, gapSec float64) []float64 {
 	return starts
 }
 
-// RunPlan executes the models of a sequence on the pool's workers and
+// RunPlanCtx executes the models of a sequence on the pool's workers and
 // returns one result per model plus the merged power log of the whole
 // session, idle gaps included — the same artifacts as RunSequence, but
-// with the independent runs fanned out concurrently.
-//
-// Determinism contract: every run executes on a Fork of e seeded by its
-// canonical identity (server, "run", plan index, model name) at the start
-// time Timeline assigns it, and every idle gap is recorded by a meter
-// seeded by its own identity (server, "gap", index). Results and log
-// segments are reassembled in plan order after the barrier. The output is
-// therefore byte-identical for any worker count, including a nil
-// (sequential) pool.
-func (e *Engine) RunPlan(models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, error) {
-	return e.RunPlanCtx(context.Background(), models, gapSec, pool)
-}
-
-// RunPlanCtx is RunPlan under a context: a cancelled ctx stops the
-// scheduler from dispatching the plan's pending runs (started runs finish;
-// see sched.RunRetryAllCtx) and surfaces the cancellation as the error of
-// the lowest undispatched index.
+// with the independent runs fanned out concurrently. It is the strict form
+// of RunPlanPartialCtx: the first failed run, by plan index, fails the
+// session, and a cancelled ctx surfaces as the error of the lowest
+// undispatched index.
 func (e *Engine) RunPlanCtx(ctx context.Context, models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, error) {
 	results, merged, reports := e.RunPlanPartialCtx(ctx, models, gapSec, pool)
 	for i, rep := range reports {
@@ -62,21 +49,21 @@ func (e *Engine) RunPlanCtx(ctx context.Context, models []workload.Model, gapSec
 	return results, merged, nil
 }
 
-// RunPlanPartial is RunPlan's graceful-degradation form: runs execute with
-// the engine's Retry budget, failed runs are excluded from the merged log
-// instead of aborting the session, and the caller receives one
-// sched.JobReport per plan index to account for every retry and give-up.
-// The idle gaps are always recorded, so the merged log of a partial session
-// stays on the canonical timeline. Determinism is unchanged from RunPlan:
-// identity-seeded forks, canonical-order reassembly, and per-attempt fault
-// decisions that are pure functions of (identity, attempt).
-func (e *Engine) RunPlanPartial(models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, []sched.JobReport) {
-	return e.RunPlanPartialCtx(context.Background(), models, gapSec, pool)
-}
-
-// RunPlanPartialCtx is RunPlanPartial under a context; cancellation stops
-// pending dispatch exactly as in RunPlanCtx, and undispatched runs appear
-// in the reports as sched.ErrCancelled give-ups.
+// RunPlanPartialCtx is the plan body. Runs execute with the engine's Retry
+// budget, failed runs are excluded from the merged log instead of aborting
+// the session, and the caller receives one sched.JobReport per plan index
+// to account for every retry and give-up. The idle gaps are always
+// recorded, so the merged log of a partial session stays on the canonical
+// timeline. Cancellation stops pending dispatch (started runs finish), and
+// undispatched runs appear in the reports as sched.ErrCancelled give-ups.
+//
+// Determinism contract: every run executes on a Fork of e seeded by its
+// canonical identity (server, "run", plan index, model name) at the start
+// time Timeline assigns it, every idle gap is recorded by a meter seeded by
+// its own identity (server, "gap", index), and per-attempt fault decisions
+// are pure functions of (identity, attempt). Results and log segments are
+// reassembled in plan order after the barrier. The output is therefore
+// byte-identical for any worker count, including a nil (sequential) pool.
 func (e *Engine) RunPlanPartialCtx(ctx context.Context, models []workload.Model, gapSec float64, pool *sched.Pool) ([]RunResult, []meter.Sample, []sched.JobReport) {
 	starts := Timeline(models, gapSec)
 
@@ -91,11 +78,11 @@ func (e *Engine) RunPlanPartialCtx(ctx context.Context, models []workload.Model,
 		gaps[i] = gap
 	}
 
-	// The traced form threads each job's tracectx span (parented on the
-	// request span in ctx) into the run, so sim phases land in the request's
-	// trace tree keyed by plan index — identical at any worker count.
+	// Each job's tracectx span (parented on the request span in ctx) is
+	// threaded into the run, so sim phases land in the request's trace tree
+	// keyed by plan index — identical at any worker count.
 	results := make([]RunResult, len(models))
-	reports := pool.RunRetryAllTracedCtx(ctx, "sim", len(models), e.Retry, func(jctx context.Context, i, attempt int) error {
+	reports := pool.RunRetry(ctx, "sim", len(models), e.Retry, func(jctx context.Context, i, attempt int) error {
 		eng := e.Fork("run", strconv.Itoa(i), models[i].Name)
 		if eng.Fault.RunFails(attempt) {
 			return fault.ErrTransient

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -69,7 +70,7 @@ func TestRunPlanDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec := server.XeonE5462()
 	models := planModels(t, spec)
 	base := New(spec, 7)
-	wantResults, wantMerged, err := base.RunPlan(models, 30, nil)
+	wantResults, wantMerged, err := base.RunPlanCtx(context.Background(), models, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestRunPlanDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("baseline shape: %d results, %d merged samples", len(wantResults), len(wantMerged))
 	}
 	for _, jobs := range []int{1, 2, 8} {
-		got, merged, err := New(spec, 7).RunPlan(models, 30, sched.New(jobs, nil))
+		got, merged, err := New(spec, 7).RunPlanCtx(context.Background(), models, 30, sched.New(jobs, nil))
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -100,7 +101,7 @@ func TestRunPlanLayoutMatchesRunSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planResults, planMerged, err := New(spec, 7).RunPlan(models, 30, nil)
+	planResults, planMerged, err := New(spec, 7).RunPlanCtx(context.Background(), models, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestRunPlanError(t *testing.T) {
 	models := planModels(t, spec)
 	models[2].DurationSec = 0 // invalid: no duration
 	for _, jobs := range []int{1, 4} {
-		_, _, err := New(spec, 1).RunPlan(models, 10, sched.New(jobs, nil))
+		_, _, err := New(spec, 1).RunPlanCtx(context.Background(), models, 10, sched.New(jobs, nil))
 		if err == nil || !strings.Contains(err.Error(), models[2].Name) {
 			t.Errorf("jobs=%d: err = %v, want mention of %s", jobs, err, models[2].Name)
 		}

@@ -45,7 +45,7 @@ type Engine struct {
 	// reseeds it by run identity like the meter and PMU streams. Nil — the
 	// default — leaves every byte of the clean pipeline untouched.
 	Fault *fault.Injector
-	// Retry is the per-run attempt budget RunPlanPartial hands the
+	// Retry is the per-run attempt budget RunPlanPartialCtx hands the
 	// scheduler. The zero value (single attempt) preserves Run's historic
 	// fail-fast reporting.
 	Retry sched.Retry
