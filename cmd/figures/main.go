@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return trained, nil
 		}
 		var err error
-		trained, err = core.TrainPowerModelCtx(ctx, server.Xeon4870(), seed, opts)
+		trained, err = core.TrainPowerModelCtx(ctx, server.Xeon4870(), seed, nil, opts)
 		return trained, err
 	}
 	verify := func(seed float64, class npb.Class) (*core.VerificationResult, error) {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -34,16 +35,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	var tr *core.TrainingResult
-	if *augment == "" {
-		tr, err = core.TrainPowerModel(spec, *seed)
-	} else {
-		var progs []npb.Program
+	var progs []npb.Program
+	if *augment != "" {
 		for _, name := range strings.Split(*augment, ",") {
 			progs = append(progs, npb.Program(strings.TrimSpace(name)))
 		}
-		tr, err = core.TrainPowerModelAugmented(spec, *seed, progs)
 	}
+	tr, err := core.TrainPowerModelCtx(context.Background(), spec, *seed, progs, core.EvalOptions{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "training:", err)
 		os.Exit(1)

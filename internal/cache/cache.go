@@ -178,16 +178,6 @@ func (h *Hierarchy) LevelStats(i int) Stats {
 // Levels returns the number of levels.
 func (h *Hierarchy) Levels() int { return len(h.levels) }
 
-// Reset clears all counters and contents.
-func (h *Hierarchy) Reset() {
-	h.ResetStats()
-	for _, l := range h.levels {
-		for i := range l.tags {
-			l.tags[i] = l.tags[i][:0]
-		}
-	}
-}
-
 // ResetStats clears the counters but keeps cache contents, so steady-state
 // behaviour can be measured after a warm-up pass.
 func (h *Hierarchy) ResetStats() {

@@ -131,22 +131,6 @@ func TestMemReadWriteCounters(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	h, err := NewHierarchy(smallCfg("L1", 256, 64, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Access(0, false)
-	h.Access(0, false)
-	h.Reset()
-	if h.TotalAccesses != 0 || h.MemReads != 0 {
-		t.Error("Reset did not clear counters")
-	}
-	if lvl := h.Access(0, false); lvl != 0 {
-		t.Errorf("Reset did not clear contents, got level %d", lvl)
-	}
-}
-
 func TestNewHierarchyErrors(t *testing.T) {
 	if _, err := NewHierarchy(); err == nil {
 		t.Error("empty hierarchy should error")

@@ -3,24 +3,20 @@
 // repository are written against it exactly as the reference codes are
 // written against MPI: a World of P ranks runs one function per rank, and
 // ranks communicate through point-to-point sends and the usual collectives
-// (Barrier, Bcast, Reduce, Allreduce, Alltoall, Gather, Scatter).
+// (Barrier, Bcast, Allreduce, Alltoall).
 //
-// The runtime also keeps per-world traffic accounting, which the power-model
-// substrate uses as its communication-intensity signal: the paper observes
-// that EP ("essentially no communication") and SP ("the most communication")
-// are the two programs its regression model predicts worst, so communication
-// volume must be observable even though it is not one of the six regression
-// features. Accounting is per collective (Stats): every collective records
-// its invocations, the messages and bytes it moved, and the time ranks spent
-// inside it, so a run can report where its communication volume and latency
-// went instead of two aggregate counters.
+// The runtime also counts the messages and bytes every rank sends, which
+// the distributed HPL run reports as its communication volume: the paper
+// observes that EP ("essentially no communication") and SP ("the most
+// communication") are the two programs its regression model predicts
+// worst, so communication volume must be observable even though it is not
+// one of the six regression features.
 package comm
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // message is one point-to-point transfer. Payloads are passed by reference;
@@ -31,63 +27,6 @@ type message struct {
 	data any
 }
 
-// opKind indexes the per-collective accounting slots.
-type opKind int
-
-const (
-	opBarrier opKind = iota
-	opBcast
-	opReduce
-	opAllreduce
-	opGather
-	opScatter
-	opAlltoall
-	opCount
-)
-
-// opCounters is one collective's live accounting.
-type opCounters struct {
-	calls atomic.Int64
-	msgs  atomic.Int64
-	bytes atomic.Int64
-	nanos atomic.Int64
-}
-
-// OpStats is a snapshot of one operation class's traffic.
-type OpStats struct {
-	// Calls counts invocations: per-rank entries for collectives, completed
-	// synchronizations for Barrier.
-	Calls int64
-	// Messages and Bytes are the point-to-point transfers the operation
-	// performed internally (collectives are built on sends).
-	Messages int64
-	Bytes    int64
-	// Nanos is the wall time ranks spent inside the operation, summed over
-	// ranks — the runtime's latency signal.
-	Nanos int64
-}
-
-// Stats is the per-collective communication breakdown of a World.
-type Stats struct {
-	// Barrier: Calls counts completed barrier synchronizations (world and
-	// sub-communicator); Messages/Bytes are sub-communicator token traffic.
-	Barrier   OpStats
-	Bcast     OpStats
-	Reduce    OpStats
-	Allreduce OpStats
-	Gather    OpStats
-	Scatter   OpStats
-	Alltoall  OpStats
-	// PointToPoint is the traffic sent directly by user code (Send,
-	// SendRecv, and the row exchanges kernels issue themselves), derived as
-	// the total minus all collective-internal traffic.
-	PointToPoint OpStats
-	// TotalMessages and TotalBytes cover every transfer, collective or not;
-	// they equal the legacy Messages()/Bytes() aggregates.
-	TotalMessages int64
-	TotalBytes    int64
-}
-
 // World is a communicator spanning Size ranks.
 type World struct {
 	size int
@@ -95,17 +34,11 @@ type World struct {
 	pipes [][]chan message
 
 	barrierMu  sync.Mutex
-	barrierGen int
 	barrierCnt int
 	barrierCh  chan struct{}
 
-	splitMu  sync.Mutex
-	split    *splitState
-	splitGen int
-
 	msgs  atomic.Int64
 	bytes atomic.Int64
-	ops   [opCount]opCounters
 }
 
 // NewWorld creates a communicator with size ranks. Channels are buffered so
@@ -126,9 +59,6 @@ func NewWorld(size int) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // Messages returns the total point-to-point message count so far.
 func (w *World) Messages() int64 { return w.msgs.Load() }
 
@@ -136,51 +66,6 @@ func (w *World) Messages() int64 { return w.msgs.Load() }
 // Collectives are implemented on point-to-point sends, so their traffic is
 // included.
 func (w *World) Bytes() int64 { return w.bytes.Load() }
-
-func (w *World) opStats(k opKind) OpStats {
-	oc := &w.ops[k]
-	return OpStats{
-		Calls:    oc.calls.Load(),
-		Messages: oc.msgs.Load(),
-		Bytes:    oc.bytes.Load(),
-		Nanos:    oc.nanos.Load(),
-	}
-}
-
-// Stats returns the per-collective communication breakdown so far. It may be
-// called concurrently with running ranks; the snapshot is per-counter atomic.
-func (w *World) Stats() Stats {
-	s := Stats{
-		Barrier:       w.opStats(opBarrier),
-		Bcast:         w.opStats(opBcast),
-		Reduce:        w.opStats(opReduce),
-		Allreduce:     w.opStats(opAllreduce),
-		Gather:        w.opStats(opGather),
-		Scatter:       w.opStats(opScatter),
-		Alltoall:      w.opStats(opAlltoall),
-		TotalMessages: w.msgs.Load(),
-		TotalBytes:    w.bytes.Load(),
-	}
-	collMsgs, collBytes := int64(0), int64(0)
-	for k := opKind(0); k < opCount; k++ {
-		collMsgs += w.ops[k].msgs.Load()
-		collBytes += w.ops[k].bytes.Load()
-	}
-	s.PointToPoint = OpStats{
-		Messages: s.TotalMessages - collMsgs,
-		Bytes:    s.TotalBytes - collBytes,
-	}
-	return s
-}
-
-// opEnter counts one per-rank entry into a collective and returns the
-// closure that records the time spent inside it.
-func (w *World) opEnter(k opKind) func() {
-	oc := &w.ops[k]
-	oc.calls.Add(1)
-	t0 := time.Now()
-	return func() { oc.nanos.Add(time.Since(t0).Nanoseconds()) }
-}
 
 // Run executes body once per rank, each on its own goroutine, and waits for
 // all of them. A panic on any rank is re-raised on the caller after all
@@ -220,9 +105,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
 
-// World returns the underlying World (for traffic accounting).
-func (c *Comm) World() *World { return c.world }
-
 func payloadBytes(data any) int64 {
 	switch d := data.(type) {
 	case []float64:
@@ -251,14 +133,6 @@ func (c *Comm) Send(dst, tag int, data any) {
 	c.world.pipes[c.rank][dst] <- message{tag: tag, data: data}
 }
 
-// opSend is Send with its traffic attributed to a collective class.
-func (c *Comm) opSend(k opKind, dst, tag int, data any) {
-	oc := &c.world.ops[k]
-	oc.msgs.Add(1)
-	oc.bytes.Add(payloadBytes(data))
-	c.Send(dst, tag, data)
-}
-
 // Recv receives the next message from rank src, which must carry the given
 // tag. Messages between a pair of ranks are delivered in send order;
 // mismatched tags indicate a program bug and panic, as MPI would abort.
@@ -283,27 +157,15 @@ func (c *Comm) RecvInts(src, tag int) []int {
 	return c.Recv(src, tag).([]int)
 }
 
-// SendRecv sends sendData to dst and receives from src with the same tag,
-// without deadlocking (send first into the buffered pipe, then receive;
-// buffered channels make the exchange safe for the pairwise patterns used
-// by the kernels).
-func (c *Comm) SendRecv(dst int, sendData any, src, tag int) any {
-	c.Send(dst, tag, sendData)
-	return c.Recv(src, tag)
-}
-
 // Barrier blocks until every rank in the world has entered it. It is a
-// classic generation-counted central barrier.
+// classic central barrier: the last rank to arrive closes the round's
+// channel and opens the next one.
 func (c *Comm) Barrier() {
 	w := c.world
-	t0 := time.Now()
-	defer func() { w.ops[opBarrier].nanos.Add(time.Since(t0).Nanoseconds()) }()
 	w.barrierMu.Lock()
 	w.barrierCnt++
 	if w.barrierCnt == w.size {
 		w.barrierCnt = 0
-		w.barrierGen++
-		w.ops[opBarrier].calls.Add(1) // one completed synchronization
 		close(w.barrierCh)
 		w.barrierCh = make(chan struct{})
 		w.barrierMu.Unlock()
@@ -318,15 +180,12 @@ const (
 	tagBcast = -101 - iota
 	tagReduce
 	tagAllreduce
-	tagGather
-	tagScatter
 	tagAlltoall
 )
 
 // Bcast distributes root's buf to every rank; non-root ranks return the
 // received slice (their buf argument is ignored and may be nil).
 func (c *Comm) Bcast(root int, buf []float64) []float64 {
-	defer c.world.opEnter(opBcast)()
 	if c.world.size == 1 {
 		return buf
 	}
@@ -335,8 +194,7 @@ func (c *Comm) Bcast(root int, buf []float64) []float64 {
 			if r == root {
 				continue
 			}
-			cp := append([]float64(nil), buf...)
-			c.opSend(opBcast, r, tagBcast, cp)
+			c.Send(r, tagBcast, append([]float64(nil), buf...))
 		}
 		return buf
 	}
@@ -374,42 +232,21 @@ func applyOp(op Op, acc, in []float64) {
 	}
 }
 
-// reduceTo is the shared reduce protocol; kind attributes its traffic to
-// either Reduce or the Allreduce that wraps it.
-func (c *Comm) reduceTo(root int, contrib []float64, op Op, kind opKind) []float64 {
-	if c.rank != root {
-		c.opSend(kind, root, tagReduce, append([]float64(nil), contrib...))
-		return nil
-	}
-	acc := append([]float64(nil), contrib...)
-	for r := 0; r < c.world.size; r++ {
-		if r == root {
-			continue
-		}
-		applyOp(op, acc, c.RecvFloat64s(r, tagReduce))
-	}
-	return acc
-}
-
-// Reduce combines each rank's contribution element-wise at root. Only root's
-// return value is meaningful; other ranks return nil.
-func (c *Comm) Reduce(root int, contrib []float64, op Op) []float64 {
-	defer c.world.opEnter(opReduce)()
-	return c.reduceTo(root, contrib, op, opReduce)
-}
-
 // Allreduce combines each rank's contribution element-wise and returns the
 // result on every rank (reduce-to-0 followed by broadcast).
 func (c *Comm) Allreduce(contrib []float64, op Op) []float64 {
-	defer c.world.opEnter(opAllreduce)()
-	res := c.reduceTo(0, contrib, op, opAllreduce)
-	if c.rank == 0 {
-		for r := 1; r < c.world.size; r++ {
-			c.opSend(opAllreduce, r, tagAllreduce, append([]float64(nil), res...))
-		}
-		return res
+	if c.rank != 0 {
+		c.Send(0, tagReduce, append([]float64(nil), contrib...))
+		return c.RecvFloat64s(0, tagAllreduce)
 	}
-	return c.RecvFloat64s(0, tagAllreduce)
+	acc := append([]float64(nil), contrib...)
+	for r := 1; r < c.world.size; r++ {
+		applyOp(op, acc, c.RecvFloat64s(r, tagReduce))
+	}
+	for r := 1; r < c.world.size; r++ {
+		c.Send(r, tagAllreduce, append([]float64(nil), acc...))
+	}
+	return acc
 }
 
 // AllreduceScalar reduces a single float64 across all ranks.
@@ -417,47 +254,11 @@ func (c *Comm) AllreduceScalar(v float64, op Op) float64 {
 	return c.Allreduce([]float64{v}, op)[0]
 }
 
-// Gather collects each rank's contribution at root, returning a slice of
-// per-rank slices indexed by rank. Non-root ranks return nil.
-func (c *Comm) Gather(root int, contrib []float64) [][]float64 {
-	defer c.world.opEnter(opGather)()
-	if c.rank != root {
-		c.opSend(opGather, root, tagGather, append([]float64(nil), contrib...))
-		return nil
-	}
-	out := make([][]float64, c.world.size)
-	out[root] = append([]float64(nil), contrib...)
-	for r := 0; r < c.world.size; r++ {
-		if r == root {
-			continue
-		}
-		out[r] = c.RecvFloat64s(r, tagGather)
-	}
-	return out
-}
-
-// Scatter sends parts[r] from root to each rank r and returns this rank's
-// part. parts is only read at root.
-func (c *Comm) Scatter(root int, parts [][]float64) []float64 {
-	defer c.world.opEnter(opScatter)()
-	if c.rank == root {
-		for r := 0; r < c.world.size; r++ {
-			if r == root {
-				continue
-			}
-			c.opSend(opScatter, r, tagScatter, append([]float64(nil), parts[r]...))
-		}
-		return append([]float64(nil), parts[root]...)
-	}
-	return c.RecvFloat64s(root, tagScatter)
-}
-
 // Alltoall performs a complete exchange: rank i sends parts[j] to rank j and
 // receives rank j's parts[i], returning the received slices indexed by
 // source rank. This is the backbone of the FT transpose and the IS key
 // redistribution.
 func (c *Comm) Alltoall(parts [][]float64) [][]float64 {
-	defer c.world.opEnter(opAlltoall)()
 	p := c.world.size
 	if len(parts) != p {
 		panic(fmt.Sprintf("comm: Alltoall needs %d parts, got %d", p, len(parts)))
@@ -468,7 +269,7 @@ func (c *Comm) Alltoall(parts [][]float64) [][]float64 {
 	for round := 1; round < p; round++ {
 		dst := (c.rank + round) % p
 		src := (c.rank - round + p) % p
-		c.opSend(opAlltoall, dst, tagAlltoall-round, append([]float64(nil), parts[dst]...))
+		c.Send(dst, tagAlltoall-round, append([]float64(nil), parts[dst]...))
 		out[src] = c.RecvFloat64s(src, tagAlltoall-round)
 	}
 	return out
@@ -476,7 +277,6 @@ func (c *Comm) Alltoall(parts [][]float64) [][]float64 {
 
 // AlltoallInts is Alltoall for integer payloads (IS keys).
 func (c *Comm) AlltoallInts(parts [][]int) [][]int {
-	defer c.world.opEnter(opAlltoall)()
 	p := c.world.size
 	if len(parts) != p {
 		panic(fmt.Sprintf("comm: AlltoallInts needs %d parts, got %d", p, len(parts)))
@@ -486,7 +286,7 @@ func (c *Comm) AlltoallInts(parts [][]int) [][]int {
 	for round := 1; round < p; round++ {
 		dst := (c.rank + round) % p
 		src := (c.rank - round + p) % p
-		c.opSend(opAlltoall, dst, tagAlltoall-round, append([]int(nil), parts[dst]...))
+		c.Send(dst, tagAlltoall-round, append([]int(nil), parts[dst]...))
 		out[src] = c.RecvInts(src, tagAlltoall-round)
 	}
 	return out

@@ -93,35 +93,6 @@ func TestPropertyAlltoallConserves(t *testing.T) {
 	}
 }
 
-// Property: Scatter then Gather restores root's parts.
-func TestPropertyScatterGatherRoundTrip(t *testing.T) {
-	f := func(sizeRaw uint8, seed int64) bool {
-		size := int(sizeRaw%6) + 1
-		parts := make([][]float64, size)
-		for r := range parts {
-			parts[r] = []float64{float64(seed%1000) + float64(r)}
-		}
-		var back [][]float64
-		w := NewWorld(size)
-		w.Run(func(c *Comm) {
-			mine := c.Scatter(0, parts)
-			all := c.Gather(0, mine)
-			if c.Rank() == 0 {
-				back = all
-			}
-		})
-		for r := range parts {
-			if len(back[r]) != 1 || back[r][0] != parts[r][0] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: every byte accounted by the runtime is non-negative and
 // message counts only grow.
 func TestPropertyTrafficMonotone(t *testing.T) {

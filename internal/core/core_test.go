@@ -66,7 +66,7 @@ func TestEvaluateReproducesTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ev.ScoreIsFinite() {
+		if math.IsNaN(ev.Score) || math.IsInf(ev.Score, 0) {
 			t.Fatalf("%s: non-finite score", spec.Name)
 		}
 		if rel := math.Abs(ev.Score-wantScore[spec.Name]) / wantScore[spec.Name]; rel > 0.05 {
@@ -179,9 +179,6 @@ func TestAveragePowerPipeline(t *testing.T) {
 	if got != 200 {
 		t.Errorf("AveragePower = %v, want 200 (trim must drop transients)", got)
 	}
-	if got := AverageMemory([]float64{0, 50, 50, 50, 50, 50, 50, 50, 50, 0}); got != 50 {
-		t.Errorf("AverageMemory = %v", got)
-	}
 }
 
 // TestRanking: descending by score, and tied servers keep their input
@@ -199,13 +196,6 @@ func TestRanking(t *testing.T) {
 		if got := Ranking(names, tc.scores); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("Ranking(%v) = %v, want %v", tc.scores, got, tc.want)
 		}
-	}
-}
-
-func TestRowEnergy(t *testing.T) {
-	r := Row{Watts: 150, DurationSec: 240}
-	if e := r.EnergyKJ(); math.Abs(e-36) > 1e-9 {
-		t.Errorf("EnergyKJ = %v", e)
 	}
 }
 
@@ -529,7 +519,7 @@ func TestPowerModelExperiment(t *testing.T) {
 		t.Skip("trains on the full HPCC sweep")
 	}
 	spec := server.Xeon4870()
-	tr, err := TrainPowerModel(spec, 3)
+	tr, err := TrainPowerModelCtx(context.Background(), spec, 3, nil, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +592,7 @@ func TestTable7Table8Render(t *testing.T) {
 		t.Skip("trains on the full HPCC sweep")
 	}
 	spec := server.Xeon4870()
-	tr, err := TrainPowerModel(spec, 4)
+	tr, err := TrainPowerModelCtx(context.Background(), spec, 4, nil, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestTrainingDeterministicAcrossJobs(t *testing.T) {
 	train := func(pool *sched.Pool) (*TrainingResult, *tracectx.Doc) {
 		t.Helper()
 		tr := tracectx.New(tracectx.DeriveID("train-determinism"), "train", "test")
-		got, err := TrainPowerModelCtx(tracectx.ContextWith(context.Background(), tr.Root()), spec, 3, EvalOptions{Pool: pool})
+		got, err := TrainPowerModelCtx(tracectx.ContextWith(context.Background(), tr.Root()), spec, 3, nil, EvalOptions{Pool: pool})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", pool.Workers(), err)
 		}

@@ -10,7 +10,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 
@@ -66,11 +65,6 @@ type Evaluation struct {
 // merged meter log: extract by timestamps, drop 10% head and tail, average.
 func AveragePower(log []meter.Sample, start, end float64) float64 {
 	return meter.TrimmedMeanWatts(meter.Window(log, start, end), TrimFrac)
-}
-
-// AverageMemory applies the same trim/average to 1 s memory samples.
-func AverageMemory(samples []float64) float64 {
-	return stats.TrimmedMean(samples, TrimFrac)
 }
 
 // PlanStates returns the method's workload list for a server (Table III):
@@ -503,11 +497,6 @@ func Ranking(names []string, scores []float64) []string {
 	return out
 }
 
-// EnergyKJ returns the energy of a row (Eq. 2), for the Fig. 11 analysis.
-func (r Row) EnergyKJ() float64 {
-	return workload.EnergyKJ(r.Watts, r.DurationSec)
-}
-
 // RowByName finds a row by program name.
 func (e *Evaluation) RowByName(name string) (Row, bool) {
 	for _, r := range e.Rows {
@@ -516,9 +505,4 @@ func (e *Evaluation) RowByName(name string) (Row, bool) {
 		}
 	}
 	return Row{}, false
-}
-
-// ScoreIsFinite guards against degenerate evaluations in callers.
-func (e *Evaluation) ScoreIsFinite() bool {
-	return !math.IsNaN(e.Score) && !math.IsInf(e.Score, 0)
 }

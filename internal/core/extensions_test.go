@@ -19,11 +19,11 @@ func TestAugmentedTrainingImprovesVerification(t *testing.T) {
 		t.Skip("two full training sweeps")
 	}
 	spec := server.Xeon4870()
-	base, err := TrainPowerModel(spec, 3)
+	base, err := TrainPowerModelCtx(context.Background(), spec, 3, nil, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aug, err := TrainPowerModelAugmented(spec, 3, []npb.Program{npb.EP, npb.SP})
+	aug, err := TrainPowerModelCtx(context.Background(), spec, 3, []npb.Program{npb.EP, npb.SP}, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,38 +49,8 @@ func TestAugmentedTrainingErrors(t *testing.T) {
 	spec := server.XeonE5462()
 	// CG class A fits this server, so augmenting with a bad program name
 	// is the error path to cover via npb.NewModel.
-	if _, err := TrainPowerModelAugmented(spec, 1, []npb.Program{npb.Program("nope")}); err == nil {
+	if _, err := TrainPowerModelCtx(context.Background(), spec, 1, []npb.Program{npb.Program("nope")}, EvalOptions{}); err == nil {
 		t.Error("unknown augmentation program should error")
-	}
-}
-
-func TestPredictModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training sweep")
-	}
-	spec := server.Xeon4870()
-	tr, err := TrainPowerModel(spec, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mHPL, err := npb.NewModel(spec, npb.LU, npb.ClassB, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mEP, err := npb.NewModel(spec, npb.EP, npb.ClassB, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pHPL, err := tr.PredictModel(spec, mHPL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pEP, err := tr.PredictModel(spec, mEP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pHPL <= pEP {
-		t.Errorf("predicted z-power: lu.B.32 %.2f should exceed ep.B.1 %.2f", pHPL, pEP)
 	}
 }
 
@@ -92,7 +62,7 @@ func TestRegressionPerServer(t *testing.T) {
 		t.Skip("three training sweeps")
 	}
 	for i, spec := range server.All() {
-		tr, err := TrainPowerModel(spec, float64(i)+3)
+		tr, err := TrainPowerModelCtx(context.Background(), spec, float64(i)+3, nil, EvalOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -121,11 +91,11 @@ func TestCrossServerTransfer(t *testing.T) {
 	}
 	source := server.Xeon4870()
 	target := server.XeonE5462()
-	trSource, err := TrainPowerModel(source, 3)
+	trSource, err := TrainPowerModelCtx(context.Background(), source, 3, nil, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trTarget, err := TrainPowerModel(target, 3)
+	trTarget, err := TrainPowerModelCtx(context.Background(), target, 3, nil, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +217,7 @@ func TestByProgramWorstFits(t *testing.T) {
 		t.Skip("training sweep")
 	}
 	spec := server.Xeon4870()
-	tr, err := TrainPowerModel(spec, 3)
+	tr, err := TrainPowerModelCtx(context.Background(), spec, 3, nil, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,26 +242,6 @@ func TestByProgramWorstFits(t *testing.T) {
 	}
 	if total != len(v.Points) {
 		t.Errorf("runs %d != points %d", total, len(v.Points))
-	}
-}
-
-func TestSessionFrom(t *testing.T) {
-	spec := server.XeonE5462()
-	engine := sim.New(spec, 31)
-	m, err := npb.NewModel(spec, npb.EP, npb.ClassC, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, _, err := engine.RunSequence([]workload.Model{workload.Idle(60), m}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := SessionFrom(spec.Name, results)
-	if s.Server != spec.Name || len(s.Entries) != 2 {
-		t.Fatalf("session = %+v", s)
-	}
-	if _, err := ParseManifest(s.MarshalManifest()); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -109,33 +109,52 @@ func collectRun(ctx context.Context, engine *sim.Engine, m workload.Model) ([][]
 	return xs, ys, nil
 }
 
-// TrainPowerModel runs the §VI-A2 procedure on a server: execute the seven
-// HPCC programs from one core to full cores while sampling the PMU every
-// 10 s and the meter every 1 s, integrate the two streams by timestamp,
-// normalize to unify dimensions, and fit the power regression by forward
-// stepwise selection.
-func TrainPowerModel(spec *server.Spec, seed float64) (*TrainingResult, error) {
-	return TrainPowerModelCtx(context.Background(), spec, seed, EvalOptions{})
-}
-
-// TrainPowerModelCtx is TrainPowerModel with telemetry and scheduling from
-// opts (Obs and Pool; the fault and flight fields do not apply to
-// training). The HPCC runs behind the regression are mutually independent
-// — "test scripts sequentially start the seven HPCC programs" only because
-// the paper had one physical server — so each (component, core-count) run
-// is a scheduler job on an engine forked by training identity, and the
+// TrainPowerModelCtx runs the §VI-A2 procedure on a server: execute the
+// seven HPCC programs from one core to full cores while sampling the PMU
+// every 10 s and the meter every 1 s, integrate the two streams by
+// timestamp, normalize to unify dimensions, and fit the power regression by
+// forward stepwise selection.
+//
+// extra implements the improvement the paper proposes but does not
+// evaluate at the close of §VI-C: "We can combine EP and SP into the
+// training set to reinforce the load forecast for the regression
+// equation." The HPCC sweep is augmented with runs of the named NPB
+// programs (class A, so the training set stays disjoint from the B/C
+// verification sets) across their valid process counts. The HPCC runs
+// keep their script indices and hence their forked seeds, so the plain and
+// augmented training sets differ only by the added NPB runs.
+//
+// Telemetry and scheduling come from opts (Obs and Pool; the fault and
+// flight fields do not apply to training). The runs behind the regression
+// are mutually independent — "test scripts sequentially start the seven
+// HPCC programs" only because the paper had one physical server — so each
+// run is a scheduler job on an engine forked by training identity, and the
 // observation matrix is concatenated in script order after the barrier.
 // Training output is byte-identical at every worker count; a nil pool runs
 // sequentially. When ctx carries a tracectx span, the sweep appears under
 // it as a "train <server>" span with one job per run and a "stepwise fit"
 // span.
-func TrainPowerModelCtx(ctx context.Context, spec *server.Spec, seed float64, opts EvalOptions) (*TrainingResult, error) {
+func TrainPowerModelCtx(ctx context.Context, spec *server.Spec, seed float64, extra []npb.Program, opts EvalOptions) (*TrainingResult, error) {
 	o := opts.Obs
 	sp := tracectx.FromContext(ctx).Child("train "+spec.Name).Attr("server", spec.Name).Attr("seed", seed)
 	defer sp.End()
 	models, err := hpcc.TrainingModels(spec)
 	if err != nil {
 		return nil, err
+	}
+	for _, prog := range extra {
+		for _, procs := range npb.ProcCounts(prog, spec.Cores) {
+			m, err := npb.NewModel(spec, prog, npb.ClassA, procs)
+			if err != nil {
+				return nil, fmt.Errorf("core: augmenting with %s: %w", npb.RunName(prog, npb.ClassA, procs), err)
+			}
+			// Stretch short class-A runs to the sweep's standard length so
+			// each contributes a comparable number of PMU windows.
+			if m.DurationSec < 220 {
+				m.DurationSec = 220
+			}
+			models = append(models, m)
+		}
 	}
 	engine := sim.New(spec, seed)
 	engine.Obs = o
@@ -146,7 +165,7 @@ func TrainPowerModelCtx(ctx context.Context, spec *server.Spec, seed float64, op
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("core: training produced no observations")
 	}
-	o.Infof("training %s: %d observations from %d HPCC training runs", spec.Name, len(xs), len(models))
+	o.Infof("training %s: %d observations from %d training runs", spec.Name, len(xs), len(models))
 
 	norms, err := stats.NormalizeColumns(xs)
 	if err != nil {
@@ -269,17 +288,6 @@ func (v *VerificationResult) ByProgram() []ProgramResidual {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].MeanAbsDiff > out[j].MeanAbsDiff })
 	return out
-}
-
-// SessionFrom builds the file-pipeline manifest of a run sequence.
-func SessionFrom(serverName string, results []sim.RunResult) *Session {
-	s := &Session{Server: serverName}
-	for _, r := range results {
-		s.Entries = append(s.Entries, SessionEntry{
-			Program: r.Model.Name, Start: r.Start, End: r.End,
-		})
-	}
-	return s
 }
 
 // verifyProcCounts returns the per-program process counts of the Fig. 12

@@ -50,22 +50,6 @@ func (in *Injector) Reseed(seed float64) *Injector {
 // Active reports whether the injector will corrupt anything.
 func (in *Injector) Active() bool { return in != nil && in.prof.Active() }
 
-// Profile returns the injector's profile (nil for a nil injector).
-func (in *Injector) Profile() *Profile {
-	if in == nil {
-		return nil
-	}
-	return in.prof
-}
-
-// Ledger returns the shared injected-fault ledger (nil for a nil injector).
-func (in *Injector) Ledger() *Ledger {
-	if in == nil {
-		return nil
-	}
-	return in.led
-}
-
 // stream derives an independent corruption stream for one fault surface, so
 // trace corruption and PMU corruption never share RNG state.
 func (in *Injector) stream(surface string) *rng.Stream {

@@ -76,15 +76,6 @@ func (l *Ledger) Count(k Kind) int64 {
 	return atomic.LoadInt64(&l.counts[k])
 }
 
-// Counts returns a snapshot of all per-kind totals, indexed by Kind.
-func (l *Ledger) Counts() [NumKinds]int64 {
-	var out [NumKinds]int64
-	for k := Kind(0); k < numKinds; k++ {
-		out[k] = l.Count(k)
-	}
-	return out
-}
-
 // AddAll folds another ledger's counts into l (the merge half of the
 // private-ledger pattern: run with a per-run ledger for deterministic
 // per-run counts, then AddAll into the shared one). Nil receivers and

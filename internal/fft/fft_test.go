@@ -112,53 +112,6 @@ func TestNonPowerOfTwoPanics(t *testing.T) {
 	Forward(make([]complex128, 3))
 }
 
-func TestGrid3DIndexing(t *testing.T) {
-	g := NewGrid3D(4, 2, 8)
-	g.Set(3, 1, 7, 42)
-	if g.At(3, 1, 7) != 42 {
-		t.Error("At/Set broken")
-	}
-	if len(g.Data) != 64 {
-		t.Errorf("grid size %d", len(g.Data))
-	}
-}
-
-func TestNewGrid3DPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two grid should panic")
-		}
-	}()
-	NewGrid3D(3, 4, 4)
-}
-
-func TestGrid3DRoundTrip(t *testing.T) {
-	g := NewGrid3D(8, 4, 2)
-	s := rng.NewStream(rng.DefaultSeed, rng.A)
-	for i := range g.Data {
-		g.Data[i] = complex(s.Next()-0.5, s.Next()-0.5)
-	}
-	orig := append([]complex128(nil), g.Data...)
-	Forward3D(g)
-	Inverse3D(g)
-	for i := range g.Data {
-		if cmplx.Abs(g.Data[i]-orig[i]) > 1e-10 {
-			t.Fatalf("3D round trip diverges at %d", i)
-		}
-	}
-}
-
-func TestGrid3DImpulse(t *testing.T) {
-	g := NewGrid3D(4, 4, 4)
-	g.Set(0, 0, 0, 1)
-	Forward3D(g)
-	for i, v := range g.Data {
-		if cmplx.Abs(v-1) > 1e-12 {
-			t.Errorf("3D impulse FFT[%d] = %v", i, v)
-		}
-	}
-}
-
 // Property: linearity — FFT(a·x + y) = a·FFT(x) + FFT(y).
 func TestPropertyLinearity(t *testing.T) {
 	f := func(seed uint32, scaleRaw int8) bool {
@@ -191,16 +144,5 @@ func BenchmarkFFT1K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Forward(x)
-	}
-}
-
-func BenchmarkFFT3D32(b *testing.B) {
-	g := NewGrid3D(32, 32, 32)
-	for i := range g.Data {
-		g.Data[i] = complex(float64(i%7), 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Forward3D(g)
 	}
 }

@@ -313,11 +313,10 @@ func (f *Federator) Fleet(ctx context.Context) Overview {
 	reported := map[string]bool{}
 	results, partial := f.fanOut(ctx, "/v1/peer/obs")
 	for _, r := range results {
-		var so ShardObs
-		if r.err == nil && r.status == http.StatusOK && json.Unmarshal(r.body, &so) == nil && so.Shard != "" {
+		if so, ok := decodeShardObs(r); ok {
 			so.State = cluster.StateUp
 			ov.Shards = append(ov.Shards, so.ShardStatus)
-			snapshots[so.Shard] = so.Metrics
+			snapshots[r.peer] = so.Metrics
 			addTotals(&ov.Campaigns, so.Jobs)
 			reported[r.peer] = true
 			continue
@@ -338,6 +337,31 @@ func (f *Federator) Fleet(ctx context.Context) Overview {
 	ov.Metrics = obs.MergeSnapshot(snapshots)
 	f.count("fleet", partial)
 	return ov
+}
+
+// decodeShardObs checks a peer's /v1/peer/obs answer before the overview
+// trusts it. The self-report must name the peer that was dialed: a shard
+// started with a wrong or duplicate -shard-id would otherwise overwrite
+// another member's metrics in the rollup, or this shard's own. Its
+// snapshot must pass obs.ParseSnapshot's metric name and type checks.
+func decodeShardObs(r peerResult) (ShardObs, bool) {
+	if r.err != nil || r.status != http.StatusOK {
+		return ShardObs{}, false
+	}
+	var body struct {
+		ShardObs
+		Metrics json.RawMessage `json:"metrics"`
+	}
+	if json.Unmarshal(r.body, &body) != nil || body.Shard != r.peer {
+		return ShardObs{}, false
+	}
+	snap, err := obs.ParseSnapshot(body.Metrics)
+	if err != nil {
+		return ShardObs{}, false
+	}
+	so := body.ShardObs
+	so.Metrics = snap
+	return so, true
 }
 
 func addTotals(t *CampaignTotals, h *jobs.Health) {

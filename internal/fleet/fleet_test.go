@@ -290,3 +290,47 @@ func TestFederatorFleet(t *testing.T) {
 		t.Fatalf("down member row: %+v", s2)
 	}
 }
+
+// TestFederatorFleetRejectsMisreport: a peer whose self-report names
+// another shard (here s2 claiming to be s0), or carries a malformed
+// snapshot, is answered as unreachable and leaves every other shard's
+// counters intact.
+func TestFederatorFleetRejectsMisreport(t *testing.T) {
+	f, _, p1, p2, _ := mesh(t)
+	p2.status.Shard = "s0"
+	ov := f.Fleet(context.Background())
+	if !ov.Partial {
+		t.Error("overview with a misreporting peer not marked partial")
+	}
+	if len(ov.Shards) != 3 || ov.Shards[0].Shard != "s0" || ov.Shards[0].State != "self" ||
+		ov.Shards[1].Shard != "s1" || ov.Shards[1].State != cluster.StateUp ||
+		ov.Shards[2].Shard != "s2" || ov.Shards[2].State != "unreachable" {
+		t.Fatalf("shard rows: %+v", ov.Shards)
+	}
+	if ov.Campaigns.TotalPoints != 12 {
+		t.Errorf("campaign totals: %+v", ov.Campaigns)
+	}
+	// 2 (s0) + 3 (s1): the impostor neither replaced s0's 2 nor added 5.
+	if got := mergedCounter(ov, "serve_compute_total"); got != 5 {
+		t.Errorf("merged serve_compute_total = %v, want 5", got)
+	}
+
+	p2.status.Shard = "s2"
+	p1.status.Metrics.Metrics = append(p1.status.Metrics.Metrics, obs.SnapshotMetric{Name: "x", Type: "bogus"})
+	ov = f.Fleet(context.Background())
+	if !ov.Partial || ov.Shards[1].State != "unreachable" || ov.Shards[2].State != cluster.StateUp {
+		t.Fatalf("malformed snapshot accepted: partial=%v rows %+v", ov.Partial, ov.Shards)
+	}
+	if got := mergedCounter(ov, "serve_compute_total"); got != 7 {
+		t.Errorf("merged serve_compute_total = %v, want 7", got)
+	}
+}
+
+func mergedCounter(ov Overview, name string) float64 {
+	for _, m := range ov.Metrics.Metrics {
+		if m.Name == name && len(m.Labels) == 0 {
+			return m.Value
+		}
+	}
+	return 0
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -145,12 +144,6 @@ func (r *Recorder) Bytes() []byte {
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes()
-}
-
-// WriteTo flushes the canonical JSONL to w.
-func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(r.Bytes())
-	return int64(n), err
 }
 
 // WriteFile flushes the canonical JSONL to path.

@@ -1,10 +1,9 @@
-// Package hpcc implements the HPC Challenge benchmark suite (Dongarra &
-// Luszczek) in the two forms the reproduction needs: native kernels that
-// really execute — HPL (dense LU), DGEMM, STREAM, PTRANS, RandomAccess
-// (GUPS), a large 1-D FFT, and the b_eff latency/bandwidth probe — and
-// workload models for the power-regression training sweep of the paper's
-// §VI ("Test scripts sequentially start the seven HPCC programs from
-// single core to full cores").
+// Package hpcc models the HPC Challenge benchmark suite (Dongarra &
+// Luszczek) — HPL, DGEMM, STREAM, PTRANS, RandomAccess (GUPS), FFT and the
+// b_eff latency/bandwidth probe — as workload models for the
+// power-regression training sweep of the paper's §VI ("Test scripts
+// sequentially start the seven HPCC programs from single core to full
+// cores").
 package hpcc
 
 import (

@@ -99,127 +99,3 @@ func TestTrainingModels(t *testing.T) {
 		t.Errorf("total PMU windows = %d, want ≈6,056", windows)
 	}
 }
-
-func TestRunDGEMM(t *testing.T) {
-	r, err := RunDGEMM(96, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.OK {
-		t.Errorf("DGEMM validation failed: max err %v", r.MaxErr)
-	}
-	if r.GFLOPS <= 0 {
-		t.Errorf("GFLOPS = %v", r.GFLOPS)
-	}
-	if _, err := RunDGEMM(0, 1); err == nil {
-		t.Error("n=0 should error")
-	}
-}
-
-func TestRunSTREAM(t *testing.T) {
-	r, err := RunSTREAM(1<<18, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.OK {
-		t.Error("STREAM validation failed")
-	}
-	for name, bw := range map[string]float64{"copy": r.Copy, "scale": r.Scale, "add": r.Add, "triad": r.Triad} {
-		if bw <= 0 {
-			t.Errorf("%s bandwidth = %v", name, bw)
-		}
-	}
-	if _, err := RunSTREAM(0, 1); err == nil {
-		t.Error("empty STREAM should error")
-	}
-}
-
-func TestRunPTRANS(t *testing.T) {
-	r, err := RunPTRANS(128, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.OK {
-		t.Error("PTRANS validation failed")
-	}
-	if r.GBps <= 0 {
-		t.Errorf("GBps = %v", r.GBps)
-	}
-	if _, err := RunPTRANS(-1, 1); err == nil {
-		t.Error("negative n should error")
-	}
-}
-
-func TestRunRandomAccess(t *testing.T) {
-	for _, procs := range []int{1, 2, 4} {
-		r, err := RunRandomAccess(12, procs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r.OK {
-			t.Errorf("GUPS double-pass identity failed at %d ranks", procs)
-		}
-		if r.Updates != 4*r.TableSize {
-			t.Errorf("updates = %d", r.Updates)
-		}
-	}
-	if _, err := RunRandomAccess(2, 1); err == nil {
-		t.Error("tiny table should error")
-	}
-	if _, err := RunRandomAccess(12, 3); err == nil {
-		t.Error("non-dividing rank count should error")
-	}
-}
-
-func TestRunFFT1D(t *testing.T) {
-	r, err := RunFFT1D(1 << 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.OK {
-		t.Errorf("FFT round-trip error %v", r.MaxErr)
-	}
-	if _, err := RunFFT1D(1000); err == nil {
-		t.Error("non-power-of-two should error")
-	}
-}
-
-func TestRunBEff(t *testing.T) {
-	r, err := RunBEff(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.LatencyUsec <= 0 || r.BandwidthMBs <= 0 {
-		t.Errorf("b_eff = %+v", r)
-	}
-	if _, err := RunBEff(3); err == nil {
-		t.Error("odd rank count should error")
-	}
-	if _, err := RunBEff(0); err == nil {
-		t.Error("zero ranks should error")
-	}
-}
-
-func BenchmarkDGEMM128(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunDGEMM(128, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSTREAMTriad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunSTREAM(1<<20, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRandomAccess(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := RunRandomAccess(14, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -253,7 +253,7 @@ func NewModel(spec *server.Spec, opts Options) (workload.Model, error) {
 	}, nil
 }
 
-// MustModel is NewModel panicking on error, for the fixed sweeps below.
+// MustModel is NewModel panicking on error, for options known to be valid.
 func MustModel(spec *server.Spec, opts Options) workload.Model {
 	m, err := NewModel(spec, opts)
 	if err != nil {

@@ -92,9 +92,6 @@ func (q *fairQueue) remove(c *campaign) bool {
 	return false
 }
 
-// len reports queued campaign entries.
-func (q *fairQueue) len() int { return q.depth }
-
 // campaignHeap orders by priority desc, then acceptance sequence asc.
 type campaignHeap []*campaign
 

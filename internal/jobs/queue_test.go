@@ -28,8 +28,8 @@ func TestFairQueueRoundRobin(t *testing.T) {
 	if q.pop() != nil {
 		t.Error("pop on drained queue should be nil")
 	}
-	if q.len() != 0 {
-		t.Errorf("depth %d after drain", q.len())
+	if q.depth != 0 {
+		t.Errorf("depth %d after drain", q.depth)
 	}
 }
 

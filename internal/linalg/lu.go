@@ -14,9 +14,8 @@ var ErrSingular = errors.New("linalg: matrix is numerically singular")
 // LUFactors holds an in-place LU factorization with partial pivoting:
 // A = P·L·U where L is unit lower triangular, both packed into LU.
 type LUFactors struct {
-	LU   *Matrix
-	Piv  []int // Piv[k] = row swapped with k at step k
-	Sign int   // determinant sign of the permutation (+1/-1)
+	LU  *Matrix
+	Piv []int // Piv[k] = row swapped with k at step k
 }
 
 // LUFactorize computes the factorization of a copy of a using unblocked
@@ -30,7 +29,6 @@ func LUFactorize(a *Matrix) (*LUFactors, error) {
 	lu := a.Clone()
 	n := lu.Rows
 	piv := make([]int, n)
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest |value| in column k at or below the diagonal.
 		p := k
@@ -49,7 +47,6 @@ func LUFactorize(a *Matrix) (*LUFactors, error) {
 			for j := range rk {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
-			sign = -sign
 		}
 		inv := 1 / lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -64,7 +61,7 @@ func LUFactorize(a *Matrix) (*LUFactors, error) {
 			}
 		}
 	}
-	return &LUFactors{LU: lu, Piv: piv, Sign: sign}, nil
+	return &LUFactors{LU: lu, Piv: piv}, nil
 }
 
 // LUFactorizeBlocked computes the factorization with the HPL-style blocked
@@ -84,7 +81,6 @@ func LUFactorizeBlocked(a *Matrix, nb, workers int) (*LUFactors, error) {
 	lu := a.Clone()
 	n := lu.Rows
 	piv := make([]int, n)
-	sign := 1
 
 	for k0 := 0; k0 < n; k0 += nb {
 		k1 := min(k0+nb, n)
@@ -106,7 +102,6 @@ func LUFactorizeBlocked(a *Matrix, nb, workers int) (*LUFactors, error) {
 				for j := range rk {
 					rk[j], rp[j] = rp[j], rk[j]
 				}
-				sign = -sign
 			}
 			inv := 1 / lu.At(k, k)
 			for i := k + 1; i < n; i++ {
@@ -141,7 +136,7 @@ func LUFactorizeBlocked(a *Matrix, nb, workers int) (*LUFactors, error) {
 		// --- Trailing update: A22 -= L21·U12, parallel over row stripes.
 		updateTrailing(lu, k0, k1, n, workers)
 	}
-	return &LUFactors{LU: lu, Piv: piv, Sign: sign}, nil
+	return &LUFactors{LU: lu, Piv: piv}, nil
 }
 
 // updateTrailing performs A22 -= L21·U12 where L21 = lu[k1:n, k0:k1] and
@@ -222,15 +217,6 @@ func (f *LUFactors) Solve(b []float64) ([]float64, error) {
 		x[i] = sum / d
 	}
 	return x, nil
-}
-
-// Determinant returns det(A) from the factorization.
-func (f *LUFactors) Determinant() float64 {
-	det := float64(f.Sign)
-	for i := 0; i < f.LU.Rows; i++ {
-		det *= f.LU.At(i, i)
-	}
-	return det
 }
 
 // ScaledResidual computes the HPL acceptance metric

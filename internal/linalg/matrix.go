@@ -1,8 +1,8 @@
-// Package linalg provides the dense linear-algebra kernels behind the HPL
-// and HPCC benchmarks: a row-major Matrix type, blocked matrix
-// multiplication (DGEMM), LU factorization with partial pivoting in both
-// unblocked and blocked (panel) form, triangular solves, norms, and the
-// scaled-residual check HPL uses to validate a solve.
+// Package linalg provides the dense linear-algebra kernels behind the
+// native HPL run: a row-major Matrix type, LU factorization with partial
+// pivoting in both unblocked and blocked (panel) form, triangular solves,
+// infinity norms, and the scaled-residual check HPL uses to validate a
+// solve.
 package linalg
 
 import (
@@ -65,36 +65,6 @@ func (m *Matrix) InfNorm() float64 {
 	return best
 }
 
-// OneNorm returns the 1-norm (max absolute column sum).
-func (m *Matrix) OneNorm() float64 {
-	sums := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			sums[j] += math.Abs(v)
-		}
-	}
-	var best float64
-	for _, s := range sums {
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
-}
-
 // MulVec computes y = m·x.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {
@@ -121,13 +91,4 @@ func VecInfNorm(x []float64) float64 {
 		}
 	}
 	return best
-}
-
-// VecOneNorm returns Σ|xᵢ|.
-func VecOneNorm(x []float64) float64 {
-	var sum float64
-	for _, v := range x {
-		sum += math.Abs(v)
-	}
-	return sum
 }

@@ -6,64 +6,14 @@ import (
 	"powerbench/internal/stats"
 )
 
-// This file is the trace-hardening half of the meter: Validate inspects a
-// log for the artifacts real acquisition chains produce (non-finite
-// readings, duplicated timestamps, sampling gaps), and Repair rebuilds a
-// clean uniform trace from a damaged one — drop invalid readings, collapse
-// duplicates, clip spikes against a median/MAD band, and close gaps by
-// linear interpolation onto the expected sampling grid. The analysis
-// pipeline applies Repair per program window before the paper's
-// trim-10%-and-average step, so corrupted sessions degrade gracefully
-// instead of poisoning the tables.
-
-// Validation summarizes the health of a trace.
-type Validation struct {
-	// Samples is the trace length inspected.
-	Samples int
-	// Invalid counts samples with NaN/Inf timestamp or reading.
-	Invalid int
-	// Duplicates counts samples closer than half the expected interval to
-	// their predecessor (retransmitted or double-logged rows).
-	Duplicates int
-	// Gaps counts sample spacings wider than 1.5x the expected interval.
-	Gaps int
-	// Negative counts readings below zero (a WT210 never reports them).
-	Negative int
-}
-
-// Clean reports whether the trace shows none of the artifacts.
-func (v Validation) Clean() bool {
-	return v.Invalid == 0 && v.Duplicates == 0 && v.Gaps == 0 && v.Negative == 0
-}
-
-// Validate inspects a time-ordered log against the expected sampling
-// interval (≤ 0 selects the 1 Hz paper default).
-func Validate(log []Sample, intervalSec float64) Validation {
-	if intervalSec <= 0 {
-		intervalSec = 1
-	}
-	v := Validation{Samples: len(log)}
-	lastValid := math.Inf(-1)
-	for _, s := range log {
-		if !finite(s.T) || !finite(s.Watts) {
-			v.Invalid++
-			continue
-		}
-		if s.Watts < 0 {
-			v.Negative++
-		}
-		if !math.IsInf(lastValid, -1) {
-			switch dt := s.T - lastValid; {
-			case dt < intervalSec/2:
-				v.Duplicates++
-			case dt > 1.5*intervalSec:
-				v.Gaps++
-			}
-		}
-		lastValid = s.T
-	}
-	return v
-}
+// This file is the trace-hardening half of the meter: Repair rebuilds a
+// clean uniform trace from one damaged by the artifacts real acquisition
+// chains produce (non-finite readings, duplicated timestamps, spikes,
+// sampling gaps) — drop invalid readings, collapse duplicates, clip spikes
+// against a median/MAD band, and close gaps by linear interpolation onto
+// the expected sampling grid. The analysis pipeline applies Repair per
+// program window before the paper's trim-10%-and-average step, so
+// corrupted sessions degrade gracefully instead of poisoning the tables.
 
 // RepairOpts configures Repair.
 type RepairOpts struct {

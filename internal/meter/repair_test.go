@@ -14,46 +14,6 @@ func uniformTrace(n int, watts float64) []Sample {
 	return log
 }
 
-func TestValidateClean(t *testing.T) {
-	v := Validate(uniformTrace(100, 200), 1)
-	if !v.Clean() {
-		t.Errorf("clean trace validated dirty: %+v", v)
-	}
-	if v.Samples != 100 {
-		t.Errorf("Samples = %d", v.Samples)
-	}
-}
-
-func TestValidateArtifacts(t *testing.T) {
-	log := []Sample{
-		{T: 0, Watts: 200},
-		{T: 1, Watts: 200},
-		{T: 2, Watts: math.NaN()}, // invalid
-		{T: 3, Watts: 200},
-		{T: 3, Watts: 200}, // duplicate timestamp
-		{T: 4, Watts: 200},
-		{T: 8, Watts: 200}, // 4 s gap
-		{T: 9, Watts: -2},  // negative reading
-		{T: 10, Watts: 200},
-	}
-	v := Validate(log, 1)
-	if v.Clean() {
-		t.Fatal("damaged trace validated clean")
-	}
-	if v.Invalid != 1 {
-		t.Errorf("Invalid = %d, want 1", v.Invalid)
-	}
-	if v.Duplicates != 1 {
-		t.Errorf("Duplicates = %d, want 1", v.Duplicates)
-	}
-	if v.Gaps == 0 {
-		t.Error("gap not detected")
-	}
-	if v.Negative != 1 {
-		t.Errorf("Negative = %d, want 1", v.Negative)
-	}
-}
-
 func TestRepairDamage(t *testing.T) {
 	log := uniformTrace(100, 200)
 	log[10].Watts = math.NaN()                                        // dropped, then gap-filled

@@ -47,16 +47,3 @@ func interpolateAt(log []Sample, i int, t float64) float64 {
 	frac := (t - a.T) / (b.T - a.T)
 	return a.Watts + frac*(b.Watts-a.Watts)
 }
-
-// Gaps returns the [start, end] spans where consecutive samples are more
-// than maxGap apart — the dropout report an operator would check before
-// trusting a session log.
-func Gaps(log []Sample, maxGap float64) [][2]float64 {
-	var out [][2]float64
-	for i := 1; i < len(log); i++ {
-		if log[i].T-log[i-1].T > maxGap {
-			out = append(out, [2]float64{log[i-1].T, log[i].T})
-		}
-	}
-	return out
-}

@@ -49,23 +49,6 @@ func TestResampleDegenerate(t *testing.T) {
 	}
 }
 
-func TestGaps(t *testing.T) {
-	log := []Sample{{0, 1}, {1, 1}, {5, 1}, {6, 1}, {20, 1}}
-	gaps := Gaps(log, 1.5)
-	if len(gaps) != 2 {
-		t.Fatalf("gaps = %v", gaps)
-	}
-	if gaps[0] != [2]float64{1, 5} || gaps[1] != [2]float64{6, 20} {
-		t.Errorf("gaps = %v", gaps)
-	}
-	if Gaps(log, 100) != nil {
-		t.Error("no gaps expected with a large threshold")
-	}
-	if Gaps(nil, 1) != nil {
-		t.Error("empty log has no gaps")
-	}
-}
-
 func TestResampleRecoversDroppedLog(t *testing.T) {
 	// A meter with heavy dropout, resampled back to 1 Hz, must preserve
 	// the trace's mean within the noise.

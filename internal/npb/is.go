@@ -169,17 +169,3 @@ func isProbesFrom(sorted [][]int, n int) ([5]int, error) {
 	}
 	return out, nil
 }
-
-// ISProbeValues returns the sorted-array values at the probe positions for
-// a run configuration; used to establish and check the golden constants.
-func ISProbeValues(c Class, procs int) ([5]int, error) {
-	size, ok := isClassSize[c]
-	if !ok {
-		return [5]int{}, fmt.Errorf("npb: IS has no class %s", c)
-	}
-	r, err := runISInternal(c, procs)
-	if err != nil {
-		return [5]int{}, err
-	}
-	return isProbesFrom(r, 1<<uint(size.logN))
-}

@@ -9,7 +9,7 @@ import (
 
 func TestSeriesLimitCapsCardinality(t *testing.T) {
 	r := NewRegistry()
-	r.SetSeriesLimit(4)
+	r.seriesLimit = 4
 	for i := 0; i < 20; i++ {
 		r.Counter("hot_metric", L("id", strconv.Itoa(i))).Inc()
 	}
@@ -46,7 +46,7 @@ func TestSeriesLimitCapsCardinality(t *testing.T) {
 
 func TestSeriesLimitGuardsGaugesAndHistograms(t *testing.T) {
 	r := NewRegistry()
-	r.SetSeriesLimit(2)
+	r.seriesLimit = 2
 	for i := 0; i < 6; i++ {
 		r.Gauge("g", L("id", strconv.Itoa(i))).Set(float64(i))
 		r.Histogram("h", nil, L("id", strconv.Itoa(i))).Observe(1)
@@ -59,30 +59,6 @@ func TestSeriesLimitGuardsGaugesAndHistograms(t *testing.T) {
 	}
 	if got := r.Histogram("h", nil).Count(); got != 4 {
 		t.Fatalf("fallback histogram saw %d observations, want 4", got)
-	}
-}
-
-func TestWithAttrs(t *testing.T) {
-	o := New()
-	s := o.WithAttrs(L("subsystem", "serve"))
-	s.Counter("reqs_total").Inc()
-	if got := o.Metrics.Counter("reqs_total", L("subsystem", "serve")).Value(); got != 1 {
-		t.Fatalf("base attr not applied: %d", got)
-	}
-	// Call-site labels win on collision.
-	s.Counter("reqs_total", L("subsystem", "override")).Inc()
-	if got := o.Metrics.Counter("reqs_total", L("subsystem", "override")).Value(); got != 1 {
-		t.Fatal("call-site label did not override the base attr")
-	}
-	// Nested WithAttrs accumulates.
-	s2 := s.WithAttrs(L("route", "/v1/evaluate"))
-	s2.Gauge("depth").Set(1)
-	if got := o.Metrics.Gauge("depth", L("subsystem", "serve"), L("route", "/v1/evaluate")).Value(); got != 1 {
-		t.Fatal("nested attrs not merged")
-	}
-	var nilObs *Obs
-	if nilObs.WithAttrs(L("a", "b")) != nil {
-		t.Fatal("nil WithAttrs must stay nil")
 	}
 }
 

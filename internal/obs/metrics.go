@@ -272,7 +272,7 @@ const droppedLabelsMetric = "obs_dropped_labels_total"
 // sites that fire per-sample should hold on to the returned handle.
 //
 // A cardinality guard bounds every metric name to a fixed number of
-// distinct label sets (DefaultSeriesLimit, adjustable with SetSeriesLimit):
+// distinct label sets (DefaultSeriesLimit):
 // once a name is at its limit, further labeled lookups fall back to the
 // name's unlabeled series and obs_dropped_labels_total{metric=name} counts
 // the refusal, so a mislabeled hot path degrades to a coarser aggregate
@@ -295,20 +295,6 @@ func NewRegistry() *Registry {
 		seriesLimit: DefaultSeriesLimit,
 		series:      map[string]int{},
 	}
-}
-
-// SetSeriesLimit adjusts the per-name label-set cap (0 restores the
-// default). It only affects series created after the call.
-func (r *Registry) SetSeriesLimit(n int) {
-	if r == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultSeriesLimit
-	}
-	r.mu.Lock()
-	r.seriesLimit = n
-	r.mu.Unlock()
 }
 
 // admit is the guard on the get-or-create path; the caller holds r.mu and

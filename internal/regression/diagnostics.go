@@ -1,7 +1,6 @@
 package regression
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -76,10 +75,4 @@ func Diagnose(m *Model, x [][]float64, y []float64) (Diagnostics, error) {
 		MaxAbsStandardized: maxStd,
 		WorstIndices:       idx,
 	}, nil
-}
-
-// String renders the diagnostics compactly.
-func (d Diagnostics) String() string {
-	return fmt.Sprintf("residuals: mean=%.3g sd=%.3g DW=%.2f max|z|=%.2f",
-		d.ResidualMean, d.ResidualStdDev, d.DurbinWatson, d.MaxAbsStandardized)
 }

@@ -13,7 +13,6 @@ package regression
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -33,9 +32,6 @@ type Model struct {
 	Intercept float64
 	// Summary holds the goodness-of-fit statistics of Table VII.
 	Summary Summary
-	// Columns optionally names the predictor columns (same order as
-	// Coefficients). It is carried along for reporting.
-	Columns []string
 }
 
 // Summary mirrors the regression-summary block the paper reports for the
@@ -48,12 +44,6 @@ type Summary struct {
 	Observations    int
 }
 
-// String renders the summary like the paper's Table VII.
-func (s Summary) String() string {
-	return fmt.Sprintf("Multiple R\t%.9f\nR Square\t%.9f\nAdjusted R Square\t%.9f\nStandard Error\t%.9f\nObservation\t%d",
-		s.MultipleR, s.RSquare, s.AdjustedRSquare, s.StandardError, s.Observations)
-}
-
 // Predict evaluates the model at predictor vector x. x must have
 // len(m.Coefficients) entries.
 func (m *Model) Predict(x []float64) float64 {
@@ -62,15 +52,6 @@ func (m *Model) Predict(x []float64) float64 {
 		y += b * x[j]
 	}
 	return y
-}
-
-// PredictAll evaluates the model for every row of xs.
-func (m *Model) PredictAll(xs [][]float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = m.Predict(x)
-	}
-	return out
 }
 
 // Fit performs ordinary least squares of y on the columns of x with an
@@ -193,18 +174,6 @@ func fitWeighted(x [][]float64, y, w []float64, intercept bool, lambda float64) 
 		m.Intercept = beta[k]
 	}
 	m.computeSummary(x, y)
-	return m, nil
-}
-
-// FitNamed is Fit with column names recorded on the model.
-func FitNamed(x [][]float64, y []float64, names []string) (*Model, error) {
-	m, err := Fit(x, y)
-	if err != nil {
-		return nil, err
-	}
-	if len(names) == len(m.Coefficients) {
-		m.Columns = append([]string(nil), names...)
-	}
 	return m, nil
 }
 

@@ -3,6 +3,7 @@ package regression
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -102,36 +103,6 @@ func TestFitErrors(t *testing.T) {
 	}
 }
 
-func TestPredictAll(t *testing.T) {
-	m := &Model{Coefficients: []float64{2, -1}, Intercept: 5}
-	got := m.PredictAll([][]float64{{1, 1}, {0, 0}, {3, 2}})
-	want := []float64{6, 5, 9}
-	for i := range want {
-		if !approx(got[i], want[i], 1e-12) {
-			t.Errorf("PredictAll[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestFitNamed(t *testing.T) {
-	x := [][]float64{{1}, {2}, {3}}
-	y := []float64{2, 4, 6}
-	m, err := FitNamed(x, y, []string{"cores"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Columns) != 1 || m.Columns[0] != "cores" {
-		t.Errorf("Columns = %v", m.Columns)
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	s := Summary{MultipleR: 0.9, RSquare: 0.81, AdjustedRSquare: 0.8, StandardError: 0.1, Observations: 10}
-	if str := s.String(); len(str) == 0 {
-		t.Error("empty summary string")
-	}
-}
-
 func TestForwardStepwisePicksInformativeColumns(t *testing.T) {
 	// y depends on columns 0 and 2; column 1 is pure noise.
 	rng := rand.New(rand.NewSource(42))
@@ -146,7 +117,8 @@ func TestForwardStepwisePicksInformativeColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := res.SelectedSorted()
+	sel := append([]int(nil), res.Selected...)
+	sort.Ints(sel)
 	if len(sel) != 2 || sel[0] != 0 || sel[1] != 2 {
 		t.Errorf("selected = %v, want [0 2]", sel)
 	}

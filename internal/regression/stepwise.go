@@ -2,7 +2,6 @@ package regression
 
 import (
 	"errors"
-	"sort"
 )
 
 // StepwiseOptions configures forward stepwise selection.
@@ -124,13 +123,6 @@ func (r *StepwiseResult) PredictOriginal(row []float64) float64 {
 		y += r.Model.Coefficients[i] * row[col]
 	}
 	return y
-}
-
-// SelectedSorted returns the selected column indices in ascending order.
-func (r *StepwiseResult) SelectedSorted() []int {
-	out := append([]int(nil), r.Selected...)
-	sort.Ints(out)
-	return out
 }
 
 func project(x [][]float64, cols []int) [][]float64 {

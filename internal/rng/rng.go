@@ -179,14 +179,6 @@ func (s *Stream) NextN(out []float64) {
 	Vranlc(len(out), &s.x, s.a, out)
 }
 
-// Seed returns the current raw state (a 46-bit integer stored in a float64).
-func (s *Stream) Seed() float64 {
-	if s.fast {
-		return float64(s.xi)
-	}
-	return s.x
-}
-
 // SkipAhead advances the stream by n steps in O(log n) time.
 func (s *Stream) SkipAhead(n int64) {
 	if s.fast {

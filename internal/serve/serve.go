@@ -365,9 +365,6 @@ func newServer(cfg Config, beforeStart func(*Server)) (*Server, error) {
 // WALDir was unset or the journal was empty).
 func (s *Server) Recovery() jobs.Recovery { return s.recovery }
 
-// Jobs exposes the campaign manager (tests and the daemon's boot log).
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
-
 // route registers a handler wrapped in the obs HTTP middleware under a
 // fixed route label, with SLO outcome tracking on the API routes.
 func (s *Server) route(pattern, label string, h http.HandlerFunc) {

@@ -32,8 +32,8 @@ func ExampleRSquared() {
 func ExampleNormalization() {
 	n := stats.FitNormalization([]float64{10, 20, 30})
 	fmt.Printf("z(30) = %.2f\n", n.Apply(30))
-	fmt.Printf("back  = %.0f\n", n.Invert(n.Apply(30)))
+	fmt.Printf("z(10) = %.2f\n", n.Apply(10))
 	// Output:
 	// z(30) = 1.00
-	// back  = 30
+	// z(10) = -1.00
 }

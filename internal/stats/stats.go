@@ -34,22 +34,6 @@ func Sum(xs []float64) float64 {
 	return sum
 }
 
-// Variance returns the population variance of xs (dividing by n, not n-1).
-// The regression summary uses SampleVariance instead.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
 // SampleVariance returns the unbiased sample variance of xs (dividing by
 // n-1). It returns 0 when fewer than two samples are present.
 func SampleVariance(xs []float64) float64 {
@@ -66,48 +50,8 @@ func SampleVariance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // SampleStdDev returns the sample standard deviation of xs.
 func SampleStdDev(xs []float64) float64 { return math.Sqrt(SampleVariance(xs)) }
-
-// Min returns the smallest element of xs. It returns an error when xs is
-// empty so callers cannot silently treat "no samples" as zero watts.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs, or an error when xs is empty.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Median returns the median of xs without modifying it.
-func Median(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	return MedianInPlace(append([]float64(nil), xs...)), nil
-}
 
 // TrimCount returns how many samples Trim(n-sample trace, frac) drops
 // from EACH end: ⌊n·frac⌋, capped so that at least one sample survives.
@@ -217,9 +161,6 @@ func FitNormalization(xs []float64) Normalization {
 
 // Apply z-scores x under the fitted parameters.
 func (n Normalization) Apply(x float64) float64 { return (x - n.Mean) / n.StdDev }
-
-// Invert maps a z-scored value back to the original units.
-func (n Normalization) Invert(z float64) float64 { return z*n.StdDev + n.Mean }
 
 // ApplySlice z-scores every element of xs, returning a new slice.
 func (n Normalization) ApplySlice(xs []float64) []float64 {

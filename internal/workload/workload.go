@@ -182,9 +182,6 @@ func Idle(durationSec float64) Model {
 	return Model{Name: "Idle", Processes: 0, DurationSec: durationSec, UtilizationScale: 1}
 }
 
-// TotalGFlop returns the total floating-point work of the run.
-func (m Model) TotalGFlop() float64 { return m.GFLOPS * m.DurationSec }
-
 // EnergyKJ computes the paper's Eq. 2, Energy(KJ) = Power(KW)·Time(s),
 // given the average power in watts.
 func EnergyKJ(avgWatts, durationSec float64) float64 {

@@ -118,10 +118,3 @@ func TestPPW(t *testing.T) {
 		t.Error("PPW with zero power should be 0")
 	}
 }
-
-func TestTotalGFlop(t *testing.T) {
-	m := Model{Name: "x", GFLOPS: 2, DurationSec: 30, Char: CharEP}
-	if got := m.TotalGFlop(); got != 60 {
-		t.Errorf("TotalGFlop = %v", got)
-	}
-}
